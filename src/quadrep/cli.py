@@ -55,8 +55,8 @@ class CliConfig:
         for name in ("max_factor_bound", "max_enum_b", "default_b"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.output not in ("json", "csv", "plain"):
             raise ValueError(f"unknown output format {self.output!r}")
 
@@ -166,7 +166,7 @@ def emit(payload, output: str, meta: bool, stream=None) -> None:
         }
     if output == "json":
         obj = {"data": data, "meta": stamp} if meta else data
-        print(json.dumps(obj), file=stream)
+        print(json.dumps(obj, allow_nan=False), file=stream)
         return
     flat: dict = {}
     _flatten(data, "", flat)
@@ -198,12 +198,18 @@ def _ideal(disc: Discriminant, text: str) -> FracIdeal:
     try:
         return parse_ideal(disc, text)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{exc}; {IDEAL_GRAMMAR}") from exc
 
 
 def _positive(value: int, flag: str) -> int:
     if value < 1:
         raise UsageError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
     return value
 
 
@@ -263,15 +269,16 @@ def _cmd_gauss(args, cfg: CliConfig):
 def _cmd_sigma(args, cfg: CliConfig):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
+    s = _finite(args.s, "--s")
     fp = genus_fingerprint(ideal)
     if args.form == "all":
         return {
-            "def": sigma_def(fp, args.m, args.s),
-            "decomp": sigma_decomp(fp, args.m, args.s),
-            "euler": sigma_euler(fp, args.m, args.s),
+            "def": sigma_def(fp, args.m, s),
+            "decomp": sigma_decomp(fp, args.m, s),
+            "euler": sigma_euler(fp, args.m, s),
         }, 0
     fn = {"def": sigma_def, "decomp": sigma_decomp, "euler": sigma_euler}[args.form]
-    return {"sigma": fn(fp, args.m, args.s)}, 0
+    return {"sigma": fn(fp, args.m, s)}, 0
 
 
 def _series_eval_payload(ev) -> dict:
@@ -282,11 +289,12 @@ def _cmd_series(args, cfg: CliConfig):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
     B = _positive(args.B if args.B is not None else cfg.default_b, "--B")
-    tol = args.tol if args.tol is not None else cfg.tolerance
+    s = _finite(args.s, "--s")
+    tol = _finite(args.tol, "--tol") if args.tol is not None else cfg.tolerance
     if args.verify:
         if args.oracle:
-            series_lhs(ideal, args.m, args.s, min(B, 60), oracle=True)
-        report = verify_theorem(ideal, args.m, args.s, B, tol)
+            series_lhs(ideal, args.m, s, min(B, 60), oracle=True)
+        report = verify_theorem(ideal, args.m, s, B, tol)
         payload = {
             "lhs": _series_eval_payload(report.lhs),
             "rhs": report.rhs,
@@ -298,10 +306,10 @@ def _cmd_series(args, cfg: CliConfig):
         }
         return payload, 0 if report.passed else 3
     fp = genus_fingerprint(ideal)
-    lhs = series_lhs(ideal, args.m, args.s, B, oracle=args.oracle)
+    lhs = series_lhs(ideal, args.m, s, B, oracle=args.oracle)
     payload = {
         "lhs": _series_eval_payload(lhs),
-        "rhs": series_rhs(fp, args.m, args.s, B),
+        "rhs": series_rhs(fp, args.m, s, B),
         "residue_at_2": residue_at_2(fp, args.m),
     }
     return payload, 0
@@ -347,7 +355,10 @@ def _cmd_ideal(args, cfg: CliConfig):
         return {"ideal": format_ideal(prod), "norm": prod.norm()}, 0
     if args.p is None:
         raise UsageError("--op primes-above needs --p")
-    primes = prime_above(disc, args.p)
+    try:
+        primes = prime_above(disc, args.p)
+    except ValueError as exc:
+        raise UsageError(f"--p: {exc}") from exc
     return {
         "p": args.p,
         "kind": primes[0].kind,
@@ -561,17 +572,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _build_config(args)
         payload, code = args.handler(args, cfg)
+        # a non-finite result is a computation error: strict JSON refuses it
+        emit(payload, args.output or cfg.output, args.meta)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(IDEAL_GRAMMAR, file=sys.stderr)
         return 2
-    except QuadrepError as exc:
+    except (QuadrepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    emit(payload, args.output or cfg.output, args.meta)
     return code
 
 

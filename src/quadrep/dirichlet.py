@@ -1,10 +1,14 @@
 """The Dirichlet series of scaled representation numbers and its closed form.
 
-series_lhs sums g_rep(ideal, m, b) b^(-s) from the closed prime-power counts;
-series_rhs evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D)
-through truncated zeta and L sums (the m = 0 case degenerates to
-zeta(s-1) L(s-1, chi_D) / L(s, chi_D)).  Both sides converge for s > 2 and
-the identity has a simple pole at s = 2 with an explicit residue.
+series_lhs sums g_rep(ideal, m, b) b^(-s) over b <= B, with the coefficients
+built at once by a multiplicative sieve (series_coefficients) in
+O(B log log B) numpy work and O(sqrt B) Python steps.  series_rhs evaluates
+|m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) through truncated
+zeta and L sums (the m = 0 case degenerates to
+zeta(s-1) L(s-1, chi_D) / L(s, chi_D)); the L sums read chi_D off a product
+of Legendre tables (chi_table), one per ramified prime.  Both sides converge
+for s > 2 and the identity has a simple pole at s = 2 with an explicit
+residue.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .divisor import sigma_def, sigma_factor_ramified, sigma_factor_unramified
 from .errors import ConsistencyError
 from .ideals import FracIdeal, GenusFingerprint, genus_fingerprint
 from .quadfield import Discriminant
-from .repnum import rep_count_bruteforce, rep_count_prime_power
+from .repnum import rep_count_bruteforce, rep_count_prime_power, unramified_count
 
 DEFAULT_RESIDUE_B = 200_000
 
@@ -44,7 +48,7 @@ def euler_factor_unramified(disc: Discriminant, p: int, m: int, s: float) -> flo
 
     the second fraction read as 1/(1 - chi q) when m = 0.
     """
-    if s <= 1:
+    if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
     if disc.D % p == 0:
         raise ValueError(f"{p} ramifies in D = {disc.D}")
@@ -66,7 +70,7 @@ def euler_factor_ramified(
     sigma = (-(D/p) | p)^nu (m/p^nu | p) na_sign; for m = 0 the sigma term
     drops and the factor is 1/(1 - q).
     """
-    if s <= 1:
+    if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
     if disc.D % p != 0:
         raise ValueError(f"{p} does not ramify in D = {disc.D}")
@@ -86,7 +90,7 @@ def euler_factor_ramified(
 
 def zeta_truncated(s: float, B: int) -> SeriesEval:
     """Partial sum of zeta(s) to B terms; tail bounded by the integral test."""
-    if s <= 1:
+    if not s > 1:
         raise ValueError(f"zeta truncation needs s > 1, got {s}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -107,9 +111,28 @@ def _zeta_estimate(s: float, B: int) -> float:
     return ev.value + ev.tail_bound
 
 
-def chi_table(disc: Discriminant) -> np.ndarray:
-    """chi_D(n) for n = 0..D-1; the character has period D."""
-    return np.array([kronecker(disc.D, n) for n in range(disc.D)], dtype=np.float64)
+def _legendre_table(q: int) -> np.ndarray:
+    """(k | q) for k = 0..q-1 at an odd prime q, as int8, from the squares mod q."""
+    table = np.full(q, -1, dtype=np.int8)
+    x = np.arange(1, q // 2 + 1, dtype=np.int64)
+    table[x * x % q] = 1
+    table[0] = 0
+    return table
+
+
+def chi_table(disc: Discriminant, n: int | None = None) -> np.ndarray:
+    """chi_D(k) for k = 0..min(n, D)-1 as int8; by default the whole period D.
+
+    For D = 1 (mod 4) squarefree, chi_D(k) is the Jacobi symbol (k | D), the
+    product of the Legendre symbols (k | q) over the primes q | D.  Each
+    Legendre table costs O(q) numpy work and is repeated or cut to the
+    length asked for, instead of one kronecker call per entry.
+    """
+    n = disc.D if n is None else min(n, disc.D)
+    chi = np.ones(n, dtype=np.int8)
+    for q in disc.primes:
+        chi *= np.resize(_legendre_table(q), n)
+    return chi
 
 
 def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
@@ -118,26 +141,141 @@ def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
     The character's partial sums are bounded by its period D, which covers
     every s > 0; only s > 1 is exercised except for the residue's L(1).
     No tail is added back here: the signed tail oscillates around zero, so
-    the partial sum is already the best estimate.
+    the partial sum is already the best estimate.  Only the min(D, B + 1)
+    table entries the sum reads are built.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError(f"L truncation needs s > 0, got {s}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    table = chi_table(disc)
+    table = chi_table(disc, B + 1)
     ns = np.arange(1, B + 1, dtype=np.int64)
     value = float(np.sum(table[ns % disc.D] * ns.astype(np.float64) ** (-s)))
     return SeriesEval(value, B, disc.D * float(B) ** (-s))
 
 
-def _spf_sieve(n: int) -> np.ndarray:
-    """Smallest prime factor for 0..n."""
-    spf = np.arange(n + 1, dtype=np.int64)
+def _prime_array(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def _prime_divisors(m: int, primes: np.ndarray) -> set[int]:
+    """The entries of `primes` that divide m != 0, for m of any size."""
+    m = abs(m)
+    residues = m % (primes if m < 2**63 else primes.astype(object))
+    return set(primes[residues == 0].tolist())
+
+
+def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
+    """Product of the closed counts at p^e || b over unramified p, b = 0..B.
+
+    Away from the primes dividing m the count at p^e depends only on
+    chi_D(p), e and whether m = 0 (unramified_count); at p | m it comes
+    from rep_count_prime_power.  Primes up to sqrt(B) multiply their
+    multiples one prime at a time.  A larger prime divides each b <= B at
+    most once and b has at most one of them, so those are applied by
+    cofactor: one array product per k <= sqrt(B) over every such p with
+    k p <= B.  Every entry is at most b d(b), far inside int64.
+    """
+    primes = _prime_array(B)
+    chi = chi_table(disc, B + 1)[primes % disc.D]
+    primes, chi = primes[chi != 0], chi[chi != 0]
+    divides_m = _prime_divisors(m, primes) if m else set()
+
+    def count(p: int, c: int, e: int) -> int:
+        if p in divides_m:
+            return rep_count_prime_power(disc, p, e, m)
+        return unramified_count(c, p, e, e if m == 0 else 0)
+
+    counts = np.ones(B + 1, dtype=np.int64)
+    n_small = int(np.searchsorted(primes, math.isqrt(B), side="right"))
+    for p, c in zip(primes[:n_small].tolist(), chi[:n_small].tolist()):
+        # entry k - 1 stands for b = k p; p^e divides b iff p^(e-1) divides k
+        local = np.full(B // p, count(p, c, 1), dtype=np.int64)
+        pe, e = p, 2
+        while pe * p <= B:
+            local[pe - 1 :: pe] = count(p, c, e)
+            pe, e = pe * p, e + 1
+        counts[p::p] *= local
+    big, big_chi = primes[n_small:], chi[n_small:]
+    if not big.size:
+        return counts
+    nu = 1 if m == 0 else 0
+    first = np.where(
+        big_chi == 1, unramified_count(1, big, 1, nu), unramified_count(-1, big, 1, nu)
+    )
+    for i in np.flatnonzero(np.isin(big, list(divides_m))):
+        first[i] = rep_count_prime_power(disc, int(big[i]), 1, m)
+    for k in range(1, B // int(big[0]) + 1):
+        n = int(np.searchsorted(big, B // k, side="right"))
+        counts[k * big[:n]] *= first[:n]
+    return counts
+
+
+def series_coefficients(
+    ideal: FracIdeal, m: int, B: int, oracle: bool = False
+) -> np.ndarray:
+    """g_rep(ideal, m, b) for b = 1..B (entry b - 1), by a multiplicative sieve.
+
+    The count at modulus b*D is the product of the closed prime-power
+    counts over p^e || b*D, where a ramified p enters with exponent
+    val_p(b) + 1: _unramified_product builds the unramified part for every
+    b at once, and each ramified p contributes one array of its few counts
+    from rep_count_prime_power.  Where a count could pass 2^63 the
+    products are taken in exact Python integers.  Every count must be
+    divisible by D, else ConsistencyError; with oracle=True the counts for
+    b <= 60 are also cross-checked against brute-force enumeration.
+    """
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    disc = ideal.disc
+    D = disc.D
+    fp = genus_fingerprint(ideal)
+    # ramified p: the counts at p^(e+1) for every e = val_p(b) with p^e <= B
+    ramified = {}
+    for p in disc.primes:
+        r, pe = [], 1
+        while pe <= B:
+            r.append(rep_count_prime_power(disc, p, len(r) + 1, m, fp.sign(p)))
+            pe *= p
+        ramified[p] = r
+    if all(r[0] for r in ramified.values()):
+        counts = _unramified_product(disc, m, B)
+        # every closed count at p^e is at most (e + 1) p^e, and at most
+        # 2 p^e when p ramifies, so a count is at most 2^omega D b d(b)
+        if 2 ** (disc.omega + 1) * D * B * (math.isqrt(B) + 1) >= 2**63:
+            counts = counts.astype(object)
+        for p, r in ramified.items():
+            factor = np.full(B + 1, r[0], dtype=np.int64)
+            for e in range(1, len(r)):
+                factor[p**e :: p**e] = r[e]
+            counts *= factor
+    else:
+        # some ramified factor vanishes for every exponent >= 1 (the sign
+        # obstruction depends only on val_p(m)), so every count is zero
+        counts = np.zeros(B + 1, dtype=np.int64)
+    counts = counts[1:]
+    if oracle:
+        for b in range(1, min(B, 60) + 1):
+            brute = rep_count_bruteforce(ideal, m, b * D)
+            if brute != counts[b - 1]:
+                raise ConsistencyError(
+                    f"closed count {counts[b - 1]} != enumeration {brute} "
+                    f"at modulus {b}*{D}"
+                )
+    bad = np.flatnonzero(counts % D)
+    if bad.size:
+        b = int(bad[0]) + 1
+        raise ConsistencyError(
+            f"count {counts[b - 1]} at modulus {b}*{D} is not divisible by {D}"
+        )
+    counts //= D
+    return counts.astype(np.int64, copy=False)
 
 
 def series_lhs(
@@ -145,77 +283,23 @@ def series_lhs(
 ) -> SeriesEval:
     """Partial sum over b <= B of g_rep(ideal, m, b) b^(-s).
 
-    Each count is assembled from cached closed prime-power counts along a
-    smallest-prime-factor walk of b, so the cost is near-linear in B.  With
-    oracle=True the counts for b <= 60 are cross-checked against brute-force
-    enumeration and any disagreement raises ConsistencyError.
+    The coefficients come from series_coefficients, near-linear numpy work
+    in B, and are summed with numpy.  With oracle=True the counts for
+    b <= 60 are cross-checked against brute-force enumeration and any
+    disagreement raises ConsistencyError.
     """
-    if s <= 2:
+    if not s > 2:
         raise ValueError(f"series needs s > 2, got {s}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    disc = ideal.disc
-    D = disc.D
-    fp = genus_fingerprint(ideal)
-
-    counts: dict[tuple[int, int], int] = {}
-
-    def npp(p: int, e: int) -> int:
-        key = (p, e)
-        val = counts.get(key)
-        if val is None:
-            na = fp.sign(p) if D % p == 0 else None
-            val = rep_count_prime_power(disc, p, e, m, na)
-            counts[key] = val
-        return val
-
-    def check(b: int, val: int) -> None:
-        brute = rep_count_bruteforce(ideal, m, b * D)
-        if brute != val:
-            raise ConsistencyError(
-                f"closed count {val} != enumeration {brute} at modulus {b}*{D}"
-            )
-
-    tail = 4 * 2**disc.omega * float(B) ** (2 - s) * (1 + math.log(B)) / (s - 2)
-
-    # default ramified factors, covering every b the ramified prime misses
-    base = 1
-    for p in disc.primes:
-        base *= npp(p, 1)
-    if base == 0:
-        # some ramified factor vanishes for every exponent >= 1 (the sign
-        # obstruction depends only on val_p(m)), so every term is zero
-        if oracle:
-            for b in range(1, min(B, 60) + 1):
-                check(b, 0)
+    g = series_coefficients(ideal, m, B, oracle)
+    if not g[0]:
+        # g(1) vanishes only with a ramified factor, and then every term does
         return SeriesEval(0.0, B, 0.0)
-
-    spf = _spf_sieve(B)
-    total = 0.0
-    for b in range(1, B + 1):
-        n = b
-        val = base
-        while n > 1 and val:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if D % p == 0:
-                # the exponent of p in b*D is e + 1; swap out the default
-                val = val // counts[(p, 1)] * npp(p, e + 1)
-            else:
-                val *= npp(p, e)
-        if oracle and b <= 60:
-            check(b, val)
-        if val:
-            q, r = divmod(val, D)
-            if r:
-                raise ConsistencyError(
-                    f"count {val} at modulus {b}*{D} is not divisible by {D}"
-                )
-            total += q * float(b) ** (-s)
-    return SeriesEval(total, B, tail)
+    omega = ideal.disc.omega
+    tail = 4 * 2**omega * float(B) ** (2 - s) * (1 + math.log(B)) / (s - 2)
+    terms = np.arange(1, B + 1, dtype=np.float64)
+    np.power(terms, -s, out=terms)
+    terms *= g
+    return SeriesEval(float(np.sum(terms)), B, tail)
 
 
 def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
@@ -223,7 +307,7 @@ def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
 
     degenerating to zeta(s-1) L(s-1, chi_D) / L(s, chi_D) at m = 0.
     """
-    if s <= 2:
+    if not s > 2:
         raise ValueError(f"series needs s > 2, got {s}")
     disc = fp.disc
     z = _zeta_estimate(s - 1, B)

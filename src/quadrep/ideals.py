@@ -484,7 +484,10 @@ def parse_ideal(disc: Discriminant, text: str) -> FracIdeal:
         if not sep or len(parts) != 2:
             raise ValueError(f"frac spec takes num/den:a,b: {text!r}")
         num, _, den = scale_txt.partition("/")
-        scale = Fraction(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"frac spec has a zero denominator: {text!r}")
+        scale = Fraction(int(num), den)
         return FracIdeal(scale, PrimIdeal(disc, int(parts[0]), int(parts[1])))
     if head == "prime":
         parts = rest.split(",")

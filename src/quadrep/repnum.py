@@ -27,6 +27,21 @@ def rep_count_bruteforce(
     return residue_norm_profile(ideal, b, limit)[m % b]
 
 
+def unramified_count(chi: int, p, beta: int, nu: int):
+    """Closed count at p^beta for p unramified, chi = chi_D(p) = +-1.
+
+    nu = min(val_p(m), beta) as in rep_count_prime_power.  Only arithmetic
+    on p, so p may also be a numpy array of primes sharing chi, beta and nu.
+    """
+    if chi == 1:
+        if nu < beta:
+            return (nu + 1) * (p - 1) * p ** (beta - 1)
+        return (beta + 1) * p**beta - beta * p ** (beta - 1)
+    if nu < beta:
+        return (p + 1) * p ** (beta - 1) if nu % 2 == 0 else 0
+    return p**beta if nu % 2 == 0 else p ** (beta - 1)
+
+
 def rep_count_prime_power(
     disc: Discriminant, p: int, beta: int, m: int, na_sign: int | None = None
 ) -> int:
@@ -43,14 +58,8 @@ def rep_count_prime_power(
         return 1
     chi = kronecker(disc.D, p)
     nu = beta if m == 0 else min(valuation(m, p), beta)
-    if chi == 1:
-        if nu < beta:
-            return (nu + 1) * (p - 1) * p ** (beta - 1)
-        return (beta + 1) * p**beta - beta * p ** (beta - 1)
-    if chi == -1:
-        if nu < beta:
-            return (p + 1) * p ** (beta - 1) if nu % 2 == 0 else 0
-        return p**beta if nu % 2 == 0 else p ** (beta - 1)
+    if chi:
+        return unramified_count(chi, p, beta, nu)
     # ramified
     if nu == beta:
         return p**beta

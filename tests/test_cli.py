@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadrep.cli import IDEAL_GRAMMAR, jsonable, load_config, main
+from quadrep.cli import IDEAL_GRAMMAR, emit, jsonable, load_config, main
 
 
 def run(capsys, argv):
@@ -92,6 +93,35 @@ def test_bad_disc_exits_2(capsys):
     code, _, err = run(capsys, ["genus", "--disc", "8"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "--disc", "5", "--op", "norm", "--ideal", "frac:1/0:1,1"],
+        ["ideal", "--disc", "5", "--op", "primes-above", "--p", "4"],
+        ["series", "--disc", "5", "--m", "1", "--s", "nan"],
+        ["series", "--disc", "5", "--m", "1", "--s", "4", "--tol", "inf"],
+        ["sigma", "--disc", "5", "--m", "1", "--s", "inf"],
+    ],
+)
+def test_bad_input_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_finite_result_exits_1(capsys, monkeypatch):
+    import quadrep.cli as cli
+
+    monkeypatch.setattr(cli, "series_rhs", lambda *args: float("nan"))
+    code, out, err = run(capsys, ["series", "--disc", "5", "--m", "1", "--s", "4"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    with pytest.raises(ValueError):
+        emit({"x": float("inf")}, "json", False, io.StringIO())
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,7 +1,10 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
+import quadrep.dirichlet as dirichlet
 from quadrep.dirichlet import (
     DEFAULT_RESIDUE_B,
     SeriesEval,
@@ -10,17 +13,20 @@ from quadrep.dirichlet import (
     euler_factor_unramified,
     l_truncated,
     residue_at_2,
+    series_coefficients,
     series_lhs,
     series_rhs,
     verify_theorem,
     zeta_truncated,
 )
-from quadrep.arith import primes_upto
+from quadrep.arith import kronecker, primes_upto
+from quadrep.errors import ConsistencyError
 from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
 from quadrep.quadfield import Discriminant
-from quadrep.repnum import g_rep
+from quadrep.repnum import g_rep, rep_count_prime_power
 
-from conftest import VALID_DISCS
+from conftest import VALID_DISCS, fixture_ideals
+from series_reference import coefficients_loop, partial_sum
 
 d5 = Discriminant(5)
 d21 = Discriminant(21)
@@ -208,3 +214,112 @@ def test_verify_theorem_vanishing_case():
     rep = verify_theorem(unit_ideal(d21), 3, 4.0, 2000)
     assert rep.passed
     assert rep.lhs.value == 0.0 and rep.rhs == 0.0
+
+
+def test_chi_table_matches_kronecker():
+    for D in range(5, 2001, 4):
+        try:
+            disc = Discriminant(D)
+        except ValueError:
+            continue
+        want = np.array([kronecker(D, k) for k in range(D)])
+        table = chi_table(disc)
+        assert table.dtype == np.int8
+        assert np.array_equal(table, want), D
+        for n in (0, 1, 2, D // 3, D - 1, D + 5):
+            assert np.array_equal(chi_table(disc, n), want[: min(n, D)]), (D, n)
+
+
+def test_l_truncated_large_disc_is_fast():
+    D, B = 48_612_265, 10**5
+    start = time.perf_counter()
+    ev = l_truncated(Discriminant(D), 2.0, B)
+    assert time.perf_counter() - start < 2.0
+    want = math.fsum(kronecker(D, k) * float(k) ** -2.0 for k in range(1, B + 1))
+    assert abs(ev.value - want) <= 1e-12 * abs(want)
+
+
+# (D, m) on the acceptance grid, plus m = 0, vanishing divisor sums
+# (D = 5, m = 2; D = 21, m = 3 for the unit ideal) and ramified p | m
+SIEVE_GRID_M = (-2, -1, 0, 1, 2, 3, 4, 5, 7, 9, 21, 25, -63, 147)
+
+
+def test_series_coefficients_match_loop():
+    B = 10**4
+    for D in (5, 21):
+        for rep in genus_representatives(Discriminant(D)):
+            for m in SIEVE_GRID_M:
+                want = coefficients_loop(rep, m, B)
+                got = series_coefficients(rep, m, B)
+                assert got.tolist() == want, (D, rep, m)
+                for s in (2.25, 4.0):
+                    ref = partial_sum(want, s)
+                    value = series_lhs(rep, m, s, B).value
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (D, rep, m, s)
+
+
+def test_series_coefficients_match_loop_wide():
+    # every fixture ideal, m with unramified and ramified prime powers,
+    # prime factors above sqrt(B) and one m past 2^63
+    ms = (0, 1, -3, 6, -10, 13, 49, 30030, -2 * 997, 3 * 2**70 + 5)
+    for D in VALID_DISCS:
+        for ideal in fixture_ideals(Discriminant(D)):
+            for m in ms:
+                for B in (1, 2, 60, 1000):
+                    want = coefficients_loop(ideal, m, B)
+                    assert series_coefficients(ideal, m, B).tolist() == want, (D, m, B)
+
+
+def test_series_coefficients_exact_past_int64(monkeypatch):
+    # D has eight prime factors, so the a-priori bound sends B = 3000 to
+    # exact Python integers.  Scaling every ramified count by 4 multiplies
+    # each coefficient by 4^8 and pushes the counts (D times the
+    # coefficient) past 2^63, where int64 products would wrap.
+    D = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
+    ideal = unit_ideal(Discriminant(D))
+    B = 3000
+
+    def scaled(disc, p, beta, m, na_sign=None):
+        return rep_count_prime_power(disc, p, beta, m, na_sign) * (
+            4 if disc.D % p == 0 else 1
+        )
+
+    monkeypatch.setattr(dirichlet, "rep_count_prime_power", scaled)
+    for m in (0, 1, 4):
+        want = [4**8 * g for g in coefficients_loop(ideal, m, B)]
+        assert max(want) * D >= 2**63
+        assert series_coefficients(ideal, m, B).tolist() == want, m
+
+
+def test_series_coefficients_checks(monkeypatch):
+    ideal = unit_ideal(d21)
+
+    def off_by_one(disc, p, beta, m, na_sign=None):
+        return rep_count_prime_power(disc, p, beta, m, na_sign) + (disc.D % p == 0)
+
+    monkeypatch.setattr(dirichlet, "rep_count_prime_power", off_by_one)
+    with pytest.raises(ConsistencyError, match="not divisible"):
+        series_coefficients(ideal, 1, 50)
+
+    def scaled(disc, p, beta, m, na_sign=None):
+        return rep_count_prime_power(disc, p, beta, m, na_sign) * (1 + (p == 2))
+
+    monkeypatch.setattr(dirichlet, "rep_count_prime_power", scaled)
+    wrong = series_coefficients(ideal, 4, 50)  # 2 | m: the scalar count is used
+    assert wrong[1] == 2 * g_rep(ideal, 4, 2)
+    with pytest.raises(ConsistencyError, match="enumeration"):
+        series_coefficients(ideal, 4, 50, oracle=True)
+
+
+def test_non_finite_s_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        series_lhs(unit_ideal(d5), 1, nan, 10)
+    with pytest.raises(ValueError):
+        series_rhs(fp_unit(d5), 1, nan, 10)
+    with pytest.raises(ValueError):
+        zeta_truncated(nan, 10)
+    with pytest.raises(ValueError):
+        l_truncated(d5, nan, 10)
+    with pytest.raises(ValueError):
+        euler_factor_unramified(d5, 2, 1, nan)

@@ -254,7 +254,7 @@ def test_format_parse_roundtrip():
 @pytest.mark.parametrize(
     "text",
     ["", "bogus", "prim:5", "prim:4,2,1", "frac:0/5:5,1", "prime:5,3", "prime:4,1",
-     "prim:3,1", "frac:x/y:5,1"],
+     "prim:3,1", "frac:x/y:5,1", "frac:1/0:5,1"],
 )
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
