@@ -2,13 +2,15 @@
 
 Everything in this module is exact: integers are unbounded, rationals are
 `fractions.Fraction`, and quadratic symbols are plain ints in {-1, 0, +1}.
-Floating point never enters here.
+Floating point never enters here; the prime sieve is an integer numpy array.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import FactorizationBoundError
 
@@ -133,16 +135,6 @@ def divisors(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
     return sorted(ds)
 
 
-def moebius(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
-    """Moebius function of n >= 1."""
-    if n < 1:
-        raise ValueError(f"moebius requires n >= 1, got {n}")
-    fac = factorize(n, bound)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def valuation(x: Rational, p: int) -> int:
     """Exponent of the prime p in the nonzero rational x."""
     if p < 2 or not is_prime(p):
@@ -207,16 +199,15 @@ def sqrt_mod(n: int, p: int) -> int:
     return r
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
+def primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, as an int64 array (sieve of Eratosthenes)."""
+    n = max(n, 1)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

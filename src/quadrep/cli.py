@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -27,6 +26,7 @@ from .ideals import (
     format_ideal,
     genus_fingerprint,
     genus_representatives,
+    max_enum_b,
     parse_ideal,
     prime_above,
     unit_ideal,
@@ -97,16 +97,16 @@ def load_config(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> CliConfig:
+    """The run's settings.  max_enum_b, the `limit` every handler passes on,
+    is QUADREP_MAX_B, else the config file's, else 10,000."""
     values = load_config(args.config) if args.config else {}
     if "B" in values:
         values["default_b"] = values.pop("B")
     try:
-        cfg = CliConfig(**values)
+        values["max_enum_b"] = max_enum_b(values.get("max_enum_b", DEFAULT_MAX_ENUM_B))
+        return CliConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if "max_enum_b" in values and "QUADREP_MAX_B" not in os.environ:
-        os.environ["QUADREP_MAX_B"] = str(cfg.max_enum_b)
-    return cfg
 
 
 def jsonable(x):
@@ -217,10 +217,10 @@ def _fingerprint_payload(fp) -> dict:
     return {str(p): fp.sign(p) for p in fp.disc.primes}
 
 
-def _dft_count(ideal: FracIdeal, m: int, b: int, bound: int) -> int:
+def _dft_count(ideal: FracIdeal, m: int, b: int, cfg: CliConfig) -> int:
     total = 1
-    for p, e in factorize(b, bound):
-        total *= rep_from_gauss_dft(ideal, m, p, e)
+    for p, e in factorize(b, cfg.max_factor_bound):
+        total *= rep_from_gauss_dft(ideal, m, p, e, cfg.max_enum_b)
     return total
 
 
@@ -230,13 +230,13 @@ def _cmd_repnum(args, cfg: CliConfig):
     b = _positive(args.b, "--b")
     if args.method == "all":
         n = rep_count(ideal, args.m, b)
-        brute = rep_count_bruteforce(ideal, args.m, b)
-        dft = _dft_count(ideal, args.m, b, cfg.max_factor_bound)
+        brute = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
+        dft = _dft_count(ideal, args.m, b, cfg)
         return {"N": n, "agree": n == brute == dft}, 0
     if args.method == "brute":
-        n = rep_count_bruteforce(ideal, args.m, b)
+        n = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
     elif args.method == "gauss-dft":
-        n = _dft_count(ideal, args.m, b, cfg.max_factor_bound)
+        n = _dft_count(ideal, args.m, b, cfg)
     else:
         n = rep_count(ideal, args.m, b)
     return {"N": n}, 0
@@ -253,7 +253,7 @@ def _cmd_gauss(args, cfg: CliConfig):
         raise UsageError("--disc is required without --classical")
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
-    d = eval_complex(gauss_direct(ideal, args.a, b))
+    d = eval_complex(gauss_direct(ideal, args.a, b, cfg.max_enum_b))
     payload = {"a": args.a, "b": b, "direct": d}
     fac = factorize(b, cfg.max_factor_bound) if b > 1 else []
     if len(fac) == 1:
@@ -293,7 +293,7 @@ def _cmd_series(args, cfg: CliConfig):
     tol = _finite(args.tol, "--tol") if args.tol is not None else cfg.tolerance
     if args.verify:
         if args.oracle:
-            series_lhs(ideal, args.m, s, min(B, 60), oracle=True)
+            series_lhs(ideal, args.m, s, min(B, 60), oracle=True, limit=cfg.max_enum_b)
         report = verify_theorem(ideal, args.m, s, B, tol)
         payload = {
             "lhs": _series_eval_payload(report.lhs),
@@ -306,7 +306,7 @@ def _cmd_series(args, cfg: CliConfig):
         }
         return payload, 0 if report.passed else 3
     fp = genus_fingerprint(ideal)
-    lhs = series_lhs(ideal, args.m, s, B, oracle=args.oracle)
+    lhs = series_lhs(ideal, args.m, s, B, oracle=args.oracle, limit=cfg.max_enum_b)
     payload = {
         "lhs": _series_eval_payload(lhs),
         "rhs": series_rhs(fp, args.m, s, B),
@@ -369,7 +369,7 @@ def _cmd_ideal(args, cfg: CliConfig):
     }, 0
 
 
-def _suite_oracle() -> dict:
+def _suite_oracle(limit: int) -> dict:
     checks = 0
     failures = []
     for D in (5, 13, 21):
@@ -379,18 +379,18 @@ def _suite_oracle() -> dict:
             for b in range(1, 13):
                 for m in range(-6, 7):
                     checks += 1
-                    if rep_count(rep, m, b) != rep_count_bruteforce(rep, m, b):
+                    if rep_count(rep, m, b) != rep_count_bruteforce(rep, m, b, limit):
                         failures.append(f"repnum D={D} ideal={name} b={b} m={m}")
     for m in (1, 2):
         checks += 1
         try:
-            series_lhs(unit_ideal(Discriminant(5)), m, 4.0, 40, oracle=True)
+            series_lhs(unit_ideal(Discriminant(5)), m, 4.0, 40, oracle=True, limit=limit)
         except ConsistencyError as exc:
             failures.append(f"series oracle m={m}: {exc}")
     return {"suite": "oracle", "checks": checks, "failures": failures}
 
 
-def _suite_gauss() -> dict:
+def _suite_gauss(limit: int) -> dict:
     checks = 0
     failures = []
     for D in (5, 21):
@@ -402,7 +402,7 @@ def _suite_gauss() -> dict:
                 for a in (-2, 1, 3):
                     checks += 1
                     closed = gauss_closed(rep, a, p, beta).as_complex()
-                    direct = eval_complex(gauss_direct(rep, a, b))
+                    direct = eval_complex(gauss_direct(rep, a, b, limit))
                     if abs(closed - direct) > 1e-9 * max(1.0, abs(closed)):
                         failures.append(f"gauss D={D} ideal={name} a={a} b={b}")
     for c in range(3, 26, 2):
@@ -416,7 +416,7 @@ def _suite_gauss() -> dict:
     return {"suite": "gauss", "checks": checks, "failures": failures}
 
 
-def _suite_sigma() -> dict:
+def _suite_sigma(limit: int) -> dict:
     checks = 0
     failures = []
     for D in (5, 21, 33):
@@ -440,7 +440,7 @@ def _suite_sigma() -> dict:
     return {"suite": "sigma", "checks": checks, "failures": failures}
 
 
-def _suite_theorem() -> dict:
+def _suite_theorem(limit: int) -> dict:
     checks = 0
     failures = []
     for D in (5, 21):
@@ -467,7 +467,7 @@ _SUITES = {
 
 def _cmd_verify(args, cfg: CliConfig):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = [_SUITES[name]() for name in names]
+    results = [_SUITES[name](cfg.max_enum_b) for name in names]
     failures = sum(len(r["failures"]) for r in results)
     payload = {
         "suites": results,
@@ -579,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (QuadrepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return 1
     return code
 

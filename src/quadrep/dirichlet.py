@@ -21,7 +21,7 @@ import numpy as np
 from .arith import kronecker, primes_upto, valuation
 from .divisor import sigma_def, sigma_factor_ramified, sigma_factor_unramified
 from .errors import ConsistencyError
-from .ideals import FracIdeal, GenusFingerprint, genus_fingerprint
+from .ideals import FracIdeal, GenusFingerprint, genus_fingerprint, ramified_sign
 from .quadfield import Discriminant
 from .repnum import rep_count_bruteforce, rep_count_prime_power, unramified_count
 
@@ -41,6 +41,11 @@ class SeriesEval:
             raise ValueError("tail bound must be nonnegative")
 
 
+def _zeta_l_factor(p: int, chi: int, q: float) -> float:
+    """The local factor (p - chi q)/(p (1 - q)) of zeta(s-1)/L(s, chi_D), q = p^(1-s)."""
+    return (p - chi * q) / (p * (1 - q))
+
+
 def euler_factor_unramified(disc: Discriminant, p: int, m: int, s: float) -> float:
     """Euler factor at p not dividing D, with q = p^(1-s):
 
@@ -54,7 +59,7 @@ def euler_factor_unramified(disc: Discriminant, p: int, m: int, s: float) -> flo
         raise ValueError(f"{p} ramifies in D = {disc.D}")
     chi = kronecker(disc.D, p)
     q = float(p) ** (1 - s)
-    first = (p - chi * q) / (p * (1 - q))
+    first = _zeta_l_factor(p, chi, q)
     t = chi * q
     if m == 0:
         return first / (1 - t)
@@ -67,8 +72,8 @@ def euler_factor_ramified(
 ) -> float:
     """Euler factor at p | D: (1 + sigma q^nu)/(1 - q) with q = p^(1-s) and
 
-    sigma = (-(D/p) | p)^nu (m/p^nu | p) na_sign; for m = 0 the sigma term
-    drops and the factor is 1/(1 - q).
+    sigma = ramified_sign(disc, p, m, na_sign) and nu = val_p(m); for m = 0
+    the sigma term drops and the factor is 1/(1 - q).
     """
     if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
@@ -79,13 +84,8 @@ def euler_factor_ramified(
     q = float(p) ** (1 - s)
     if m == 0:
         return 1 / (1 - q)
-    nu = valuation(m, p)
-    sig = (
-        kronecker(-(disc.D // p), p) ** (nu % 2)
-        * kronecker(m // p**nu, p)
-        * na_sign
-    )
-    return (1 + sig * q**nu) / (1 - q)
+    sig = ramified_sign(disc, p, m, na_sign)
+    return (1 + sig * q ** valuation(m, p)) / (1 - q)
 
 
 def zeta_truncated(s: float, B: int) -> SeriesEval:
@@ -154,16 +154,6 @@ def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
     return SeriesEval(value, B, disc.D * float(B) ** (-s))
 
 
-def _prime_array(n: int) -> np.ndarray:
-    """The primes <= n, ascending, by the sieve of Eratosthenes."""
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
-
-
 def _prime_divisors(m: int, primes: np.ndarray) -> set[int]:
     """The entries of `primes` that divide m != 0, for m of any size."""
     m = abs(m)
@@ -182,7 +172,7 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
     cofactor: one array product per k <= sqrt(B) over every such p with
     k p <= B.  Every entry is at most b d(b), far inside int64.
     """
-    primes = _prime_array(B)
+    primes = primes_upto(B)
     chi = chi_table(disc, B + 1)[primes % disc.D]
     primes, chi = primes[chi != 0], chi[chi != 0]
     divides_m = _prime_divisors(m, primes) if m else set()
@@ -218,7 +208,7 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
 
 
 def series_coefficients(
-    ideal: FracIdeal, m: int, B: int, oracle: bool = False
+    ideal: FracIdeal, m: int, B: int, oracle: bool = False, limit: int | None = None
 ) -> np.ndarray:
     """g_rep(ideal, m, b) for b = 1..B (entry b - 1), by a multiplicative sieve.
 
@@ -229,7 +219,8 @@ def series_coefficients(
     from rep_count_prime_power.  Where a count could pass 2^63 the
     products are taken in exact Python integers.  Every count must be
     divisible by D, else ConsistencyError; with oracle=True the counts for
-    b <= 60 are also cross-checked against brute-force enumeration.
+    b <= 60 are also cross-checked against brute-force enumeration, whose
+    moduli `limit` bounds as in residue_norm_profile.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
@@ -262,7 +253,7 @@ def series_coefficients(
     counts = counts[1:]
     if oracle:
         for b in range(1, min(B, 60) + 1):
-            brute = rep_count_bruteforce(ideal, m, b * D)
+            brute = rep_count_bruteforce(ideal, m, b * D, limit)
             if brute != counts[b - 1]:
                 raise ConsistencyError(
                     f"closed count {counts[b - 1]} != enumeration {brute} "
@@ -279,18 +270,19 @@ def series_coefficients(
 
 
 def series_lhs(
-    ideal: FracIdeal, m: int, s: float, B: int, oracle: bool = False
+    ideal: FracIdeal, m: int, s: float, B: int,
+    oracle: bool = False, limit: int | None = None,
 ) -> SeriesEval:
     """Partial sum over b <= B of g_rep(ideal, m, b) b^(-s).
 
     The coefficients come from series_coefficients, near-linear numpy work
     in B, and are summed with numpy.  With oracle=True the counts for
-    b <= 60 are cross-checked against brute-force enumeration and any
-    disagreement raises ConsistencyError.
+    b <= 60 are cross-checked against brute-force enumeration (moduli
+    bounded by `limit`) and any disagreement raises ConsistencyError.
     """
     if not s > 2:
         raise ValueError(f"series needs s > 2, got {s}")
-    g = series_coefficients(ideal, m, B, oracle)
+    g = series_coefficients(ideal, m, B, oracle, limit)
     if not g[0]:
         # g(1) vanishes only with a ramified factor, and then every term does
         return SeriesEval(0.0, B, 0.0)
@@ -365,7 +357,7 @@ def verify_theorem(
     lhs = series_lhs(ideal, m, s, B)
     rhs = series_rhs(fp, m, s, B)
     factors = []
-    for p in primes_upto(50):
+    for p in primes_upto(50).tolist():
         q = float(p) ** (1 - s)
         chi = kronecker(disc.D, p)
         if disc.D % p == 0:
@@ -374,7 +366,7 @@ def verify_theorem(
             rf = sig / (1 - q)
         else:
             lf = euler_factor_unramified(disc, p, m, s)
-            zl = (p - chi * q) / (p * (1 - q))
+            zl = _zeta_l_factor(p, chi, q)
             sig = (
                 1 / (1 - chi * q)
                 if m == 0

@@ -5,13 +5,15 @@ d^s * prod over ramified p of (chi_{D(p)}(d) + chi_{D(p)}(N * m/d)),
 where D(p) is the prime discriminant +-p = 1 (mod 4) attached to p and the
 norm enters only through the genus fingerprint.  Three independent
 evaluation routes are provided: the defining sum, the rearrangement over
-discriminant decompositions D = D1 * D2, and the Euler product.
+discriminant decompositions D = D1 * D2, and the Euler product.  The ramified
+Euler factors take their sign from `ideals.ramified_sign`; the defining sum and
+the decomposition never call it, so each stays an independent check on it.
 """
 
 from __future__ import annotations
 
 from .arith import divisors, factorize, kronecker, valuation
-from .ideals import GenusFingerprint
+from .ideals import GenusFingerprint, ramified_sign
 from .quadfield import Discriminant
 
 
@@ -84,18 +86,12 @@ def sigma_factor_unramified(disc: Discriminant, m: int, p: int, s: float) -> flo
 def sigma_factor_ramified(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
     """Euler factor at a ramified p: 1 + sign * p^(nu s).
 
-    The sign is (-D/p | p)^nu * (N(ideal) * m/p^nu | p) with nu = val_p(m),
-    the norm symbol coming from the fingerprint.
+    The sign is ramified_sign with nu = val_p(m), the norm symbol coming
+    from the fingerprint.
     """
     _check_m(m)
-    disc = fp.disc
-    nu = valuation(m, p)
-    sign = (
-        kronecker(-(disc.D // p), p) ** (nu % 2)
-        * fp.sign(p)
-        * kronecker(m // p**nu, p)
-    )
-    return 1 + sign * float(p**nu) ** s
+    sign = ramified_sign(fp.disc, p, m, fp.sign(p))
+    return 1 + sign * float(p ** valuation(m, p)) ** s
 
 
 def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
@@ -146,44 +142,6 @@ def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
         )
         total += term
     return abs(m) ** ((1 - s) / 2) * total * unram
-
-
-def ramified_sign_product(
-    fp: GenusFingerprint, d2: int, m: int
-) -> tuple[int, int]:
-    """Both sides of the ramified sign identity for the decomposition D1 * D2.
-
-    Left: the product over p | D2 of (-D/p | p)^nu_p (N m/p^nu_p | p).
-    Right: chi_{D1}(m_{D2}) * chi_{D2}(N * m/m_{D2}).  Returns (left, right);
-    the two are provably equal and the equality is exercised in tests.
-    """
-    _check_m(m)
-    disc = fp.disc
-    d1 = _codecomposition(disc, d2)
-    lhs = 1
-    m_d2 = 1
-    chi_d2_norm = 1
-    for p in disc.primes:
-        if abs(d2) % p != 0:
-            continue
-        nu = valuation(m, p)
-        lhs *= (
-            kronecker(-(disc.D // p), p) ** (nu % 2)
-            * fp.sign(p)
-            * kronecker(m // p**nu, p)
-        )
-        m_d2 *= p**nu
-        chi_d2_norm *= fp.sign(p)
-    rhs = kronecker(d1, m_d2) * chi_d2_norm * kronecker(d2, m // m_d2)
-    return lhs, rhs
-
-
-def _codecomposition(disc: Discriminant, d2: int) -> int:
-    """The cofactor D1 with D = D1 * D2, validating that D2 is admissible."""
-    for cand1, cand2 in disc_decompositions(disc):
-        if cand2 == d2:
-            return cand1
-    raise ValueError(f"{d2} is not a discriminant factor of D = {disc.D}")
 
 
 def sigma_vanishes(fp: GenusFingerprint, m: int) -> bool:

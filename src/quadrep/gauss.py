@@ -4,12 +4,13 @@ A sum over lambda in ideal/(b*ideal) of e(a*N(lambda)/(b*N(ideal))) is stored
 as the integer vector counting how often each exponent t/b occurs; floating
 point only enters when a vector or closed form is evaluated to a complex
 number for comparison.  Closed forms at prime powers split into a rational
-value and a "ramified" value coeff * eps(p) * sqrt(p).
+value and a "ramified" value coeff * eps(p) * sqrt(p); the sign of the
+latter is `ideals.ramified_sign` of a, times one more (-(D/p) | p) when
+beta is even.  The direct enumeration never calls it.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, sqrt
@@ -17,7 +18,7 @@ from math import gcd, sqrt
 import numpy as np
 
 from .arith import eps, is_prime, kronecker, rational_legendre, valuation
-from .ideals import FracIdeal, coprime_to, residue_norm_profile
+from .ideals import FracIdeal, coprime_to, ramified_sign, residue_norm_profile
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,15 @@ class ExactGaussValue:
         return complex(self.coeff) * eps(self.p) * sqrt(self.p)
 
 
-def _roots_of_unity(b: int) -> np.ndarray:
+def roots_of_unity(b: int) -> np.ndarray:
+    """e(t/b) for t = 0..b-1."""
     return np.exp(2j * np.pi * np.arange(b) / b)
 
 
 def eval_complex(vec: ExponentVector) -> complex:
     """Evaluate sum counts[t] * e(t/b) in double precision."""
     counts = np.asarray(vec.counts, dtype=np.float64)
-    return complex(counts @ _roots_of_unity(vec.b))
+    return complex(counts @ roots_of_unity(vec.b))
 
 
 def gauss_direct(
@@ -108,18 +110,13 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
             f"ramified closed form needs an ideal coprime to {p}; "
             "replace it by a coprime genus representative first"
         )
-    a0 = a // p**alpha
-    sign = (
-        kronecker(a0, p)
-        * rational_legendre(ideal.norm(), p)
-        * kronecker(-(disc.D // p), p) ** ((alpha + beta + 1) % 2)
-    )
+    # here alpha = val_p(a) < beta, so ramified_sign carries the power alpha
+    sign = ramified_sign(disc, p, a, rational_legendre(ideal.norm(), p))
+    sign *= kronecker(-(disc.D // p), p) ** ((beta + 1) % 2)
     return ExactGaussValue("ramified", Fraction(sign * p ** (alpha + beta)), p)
 
 
-def classical_gauss(
-    a: int, c: int, limit: int | None = None
-) -> tuple[ExactGaussValue, ExponentVector]:
+def classical_gauss(a: int, c: int) -> tuple[ExactGaussValue, ExponentVector]:
     """The classical sum over x mod c of e(a x^2 / c), closed and direct.
 
     For odd c > 0 with gcd(a, c) = 1 the closed value is
@@ -134,23 +131,3 @@ def classical_gauss(
     for x in range(c):
         counts[a * x * x % c] += 1
     return closed, ExponentVector(c, tuple(counts))
-
-
-def twisted_sum_direct(p: int, r: int, c: int) -> complex:
-    """Sum over a mod p^r of (a|p) e(a c / p^r), evaluated directly.
-
-    Vanishes for r > 1; for r = 1 it equals eps(p) * (c|p) * sqrt(p).
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if c % p == 0:
-        raise ValueError(f"c = {c} must be a unit at {p}")
-    q = p**r
-    total = 0j
-    for a in range(q):
-        s = kronecker(a, p)
-        if s:
-            total += s * cmath.exp(2j * cmath.pi * a * c / q)
-    return total

@@ -7,6 +7,8 @@ a 2x2 Hermite normal form over the half-integer coordinates, so the whole
 module is exact integer/rational arithmetic.  The one enumeration primitive,
 `residue_norm_profile`, counts the values of the ideal's norm form on
 (Z/bZ)^2 and is backed by numpy; chunking does not affect its output.
+`ramified_sign` is the one home of the local sign at a ramified prime shared by
+the closed representation numbers, both Euler factors and ramified Gauss sums.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ from .quadfield import Discriminant, QuadElem, omega
 DEFAULT_MAX_ENUM_B = 10_000
 
 
-def max_enum_b() -> int:
-    """Enumeration bound for residue profiles; QUADREP_MAX_B overrides."""
+def max_enum_b(default: int = DEFAULT_MAX_ENUM_B) -> int:
+    """Enumeration bound for residue profiles; QUADREP_MAX_B overrides `default`."""
     env = os.environ.get("QUADREP_MAX_B")
     if env:
         try:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"QUADREP_MAX_B must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_ENUM_B
+    return default
 
 
 class PrimIdeal:
@@ -361,6 +363,17 @@ class GenusFingerprint:
         return dict(zip(self.disc.primes, self.signs))
 
 
+def ramified_sign(disc: Discriminant, p: int, m: int, na_sign: int) -> int:
+    """(-(D/p) | p)^nu * (m/p^nu | p) * na_sign at a ramified p, nu = val_p(m), m != 0.
+
+    na_sign is the fingerprint sign at p: the norm symbol of a coprime ideal in the genus.
+    """
+    if na_sign not in (-1, 1):
+        raise ValueError(f"ramified prime {p} needs na_sign = +-1, got {na_sign}")
+    nu = valuation(m, p)
+    return kronecker(-(disc.D // p), p) ** (nu % 2) * kronecker(m // p**nu, p) * na_sign
+
+
 _FINGERPRINT_CACHE: dict[tuple, GenusFingerprint] = {}
 
 
@@ -436,7 +449,7 @@ def genus_representatives(disc: Discriminant, prime_bound: int = 2000) -> list[F
     reps: dict[tuple[int, ...], FracIdeal] = {}
     one = unit_ideal(disc)
     reps[genus_fingerprint(one).signs] = one
-    for p in primes_upto(prime_bound):
+    for p in primes_upto(prime_bound).tolist():
         if len(reps) == want:
             break
         if kronecker(disc.D, p) != 1:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .arith import factorize, kronecker, valuation
 from .errors import ConsistencyError
-from .gauss import _roots_of_unity
-from .ideals import FracIdeal, genus_fingerprint, residue_norm_profile
+from .gauss import roots_of_unity
+from .ideals import FracIdeal, genus_fingerprint, ramified_sign, residue_norm_profile
 from .quadfield import Discriminant
 
 DFT_RESIDUAL_TOL = 1e-6
@@ -63,17 +63,7 @@ def rep_count_prime_power(
     # ramified
     if nu == beta:
         return p**beta
-    if na_sign not in (-1, 1):
-        raise ValueError(
-            f"ramified prime {p} needs na_sign from a coprime genus representative"
-        )
-    m0 = m // p**nu
-    sign = (
-        kronecker(-(disc.D // p), p) ** (nu % 2)
-        * kronecker(m0, p)
-        * na_sign
-    )
-    return (1 + sign) * p**beta
+    return (1 + ramified_sign(disc, p, m, na_sign)) * p**beta
 
 
 def rep_count(ideal: FracIdeal, m: int, b: int) -> int:
@@ -130,7 +120,7 @@ def rep_from_gauss_dft(
     for gv in np.unique(g):
         weight = int(profile[g == gv].sum()) * int(gv)
         coeffs[::gv] += weight
-    value = complex(coeffs.astype(np.float64) @ _roots_of_unity(b)) / b
+    value = complex(coeffs.astype(np.float64) @ roots_of_unity(b)) / b
     n = round(value.real)
     if abs(value - n) > DFT_RESIDUAL_TOL:
         raise ConsistencyError(

@@ -17,7 +17,6 @@ from quadrep.dirichlet import (
 )
 from quadrep.divisor import (
     disc_decompositions,
-    ramified_sign_product,
     sigma_decomp,
     sigma_def,
     sigma_euler,
@@ -40,7 +39,7 @@ from quadrep.repnum import (
     rep_from_gauss_dft,
 )
 
-from conftest import first_split_prime, fixture_ideals
+from conftest import first_split_prime, fixture_ideals, ramified_sign_product
 
 PRIME_POWERS_343 = [
     (p, beta)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadrep.arith import (
@@ -8,7 +9,6 @@ from quadrep.arith import (
     factorize,
     is_prime,
     kronecker,
-    moebius,
     primes_upto,
     rational_legendre,
     sqrt_mod,
@@ -91,15 +91,9 @@ def test_factorize():
         factorize(101, bound=100)
 
 
-def test_divisors_and_moebius():
+def test_divisors():
     assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
     assert divisors(-10) == [1, 2, 5, 10]
-    assert moebius(1) == 1
-    assert moebius(6) == 1
-    assert moebius(4) == 0
-    assert moebius(30) == -1
-    with pytest.raises(ValueError):
-        moebius(0)
 
 
 def test_valuation():
@@ -141,8 +135,9 @@ def test_sqrt_mod_roundtrip():
 
 
 def test_primes_upto():
-    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_upto(1) == []
+    assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_upto(1).tolist() == []
+    assert primes_upto(30).dtype == np.int64
 
 
 def test_xgcd():

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -108,6 +109,16 @@ def test_bad_disc_exits_2(capsys):
 def test_bad_input_is_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_overflow_exits_1(capsys):
+    # 6^400 in the divisor sum is past the largest double
+    code, out, err = run(
+        capsys, ["sigma", "--disc", "5", "--m", "6", "--s", "400", "--form", "all"]
+    )
+    assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -275,11 +286,7 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_config_max_enum_b_propagates(tmp_path, capsys, monkeypatch):
-    # the config handler writes QUADREP_MAX_B when it is unset; stack a
-    # setenv/delenv pair so teardown restores "unset" even though the value
-    # appears mid-test
-    monkeypatch.setenv("QUADREP_MAX_B", "sentinel")
-    monkeypatch.delenv("QUADREP_MAX_B")
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
     cfg = tmp_path / "quadrep.cfg"
     cfg.write_text("max_enum_b=50\n")
     code, _, err = run(
@@ -289,6 +296,37 @@ def test_config_max_enum_b_propagates(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "QUADREP_MAX_B" in err
+
+
+def test_config_bound_does_not_leak(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    environ = dict(os.environ)
+    cfg = tmp_path / "quadrep.cfg"
+    cfg.write_text("max_enum_b=50\n")
+    argv = ["repnum", "--disc", "5", "--m", "1", "--b", "100", "--method", "brute"]
+    code, _, err = run(capsys, argv + ["--config", str(cfg)])
+    assert code == 1
+    assert "exceeds enumeration bound 50" in err
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"N": 300}
+    assert dict(os.environ) == environ
+
+
+def test_env_bound_outranks_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "quadrep.cfg"
+    cfg.write_text("max_enum_b=50\n")
+    argv = ["repnum", "--disc", "5", "--m", "1", "--b", "100", "--method", "brute",
+            "--config", str(cfg)]
+    monkeypatch.setenv("QUADREP_MAX_B", "200")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out) == {"N": 300}
+    monkeypatch.setenv("QUADREP_MAX_B", "many")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: QUADREP_MAX_B") and err.count("\n") == 1
 
 
 def test_load_config_rejects_garbage(tmp_path):

@@ -98,8 +98,9 @@ def test_l_truncated_against_euler_product():
     B = 10**6
     got = l_truncated(d5, 4.0, B).value
     prod = 1.0
-    for p in primes_upto(B):
-        chi = chi_table(d5)[p % 5]
+    table = chi_table(d5)
+    for p in primes_upto(B).tolist():
+        chi = table[p % 5]
         prod /= 1.0 - chi * float(p) ** (-4.0)
     assert abs(got - prod) < 1e-8
     assert abs(got - L4_CHI5) < 1e-12

@@ -4,7 +4,6 @@ from quadrep.arith import factorize
 from quadrep.divisor import (
     disc_decompositions,
     prime_discriminant,
-    ramified_sign_product,
     sigma_decomp,
     sigma_def,
     sigma_euler,
@@ -15,7 +14,7 @@ from quadrep.divisor import (
 from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
 from quadrep.quadfield import Discriminant
 
-from conftest import fixture_ideals
+from conftest import fixture_ideals, ramified_sign_product
 
 d5 = Discriminant(5)
 d21 = Discriminant(21)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadrep.arith import eps, is_prime, kronecker
 from quadrep.gauss import (
     ExactGaussValue,
     ExponentVector,
@@ -11,7 +12,6 @@ from quadrep.gauss import (
     eval_complex,
     gauss_closed,
     gauss_direct,
-    twisted_sum_direct,
 )
 from quadrep.ideals import coprime_to, prime_above, unit_ideal
 from quadrep.quadfield import Discriminant
@@ -22,6 +22,26 @@ d5 = Discriminant(5)
 d21 = Discriminant(21)
 
 PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+
+
+def twisted_sum_direct(p: int, r: int, c: int) -> complex:
+    """Sum over a mod p^r of (a|p) e(a c / p^r), evaluated directly.
+
+    Vanishes for r > 1; for r = 1 it equals eps(p) * (c|p) * sqrt(p).
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"need an odd prime, got {p}")
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    if c % p == 0:
+        raise ValueError(f"c = {c} must be a unit at {p}")
+    q = p**r
+    total = 0j
+    for a in range(q):
+        s = kronecker(a, p)
+        if s:
+            total += s * cmath.exp(2j * cmath.pi * a * c / q)
+    return total
 
 
 def test_exponent_vector_validation():
@@ -137,8 +157,6 @@ def test_twisted_sum():
     assert abs(twisted_sum_direct(5, 1, -1) - cmath.sqrt(5)) < 1e-9
     assert abs(twisted_sum_direct(3, 3, 2)) < 1e-9
     # r = 1 closed form across small odd primes
-    from quadrep.arith import eps, kronecker
-
     for p in (3, 5, 7, 11, 13):
         for c in (1, 2, -1):
             if c % p == 0:
