@@ -6,7 +6,9 @@ rational multiple of exactly one such module.  Products are reduced through
 a 2x2 Hermite normal form over the half-integer coordinates, so the whole
 module is exact integer/rational arithmetic.  The one enumeration primitive,
 `residue_norm_profile`, counts the values of the ideal's norm form on
-(Z/bZ)^2 and is backed by numpy; chunking does not affect its output.
+(Z/bZ)^2 with numpy: it splits b into prime powers by the Chinese remainder
+theorem, counts each odd part by completing the square and convolving two
+histograms of squares, and enumerates only the 2-part pair by pair.
 `ramified_sign` is the one home of the local sign at a ramified prime shared by
 the closed representation numbers, both Euler factors and ramified Gauss sums.
 """
@@ -304,8 +306,10 @@ def residue_norm_profile(
 
     Entry r of the result is the number of (x, y) in (Z/bZ)^2 with
     Q(x, y) = r (mod b), where Q is the ideal's norm form; the counts sum
-    to b^2.  Enumeration is chunked through numpy but the result does not
-    depend on the chunking.
+    to b^2.  By the Chinese remainder theorem the count at r is the product
+    of the counts at r mod q over the prime powers q || b.  An odd q costs
+    O(q) numpy work plus one length-q integer convolution; the 2-part is
+    enumerated pair by pair in numpy chunks, which do not affect the result.
     """
     if b < 1:
         raise ValueError(f"modulus must be >= 1, got {b}")
@@ -314,28 +318,59 @@ def residue_norm_profile(
         raise EnumerationBoundError(
             f"modulus {b} exceeds enumeration bound {bound} (QUADREP_MAX_B overrides)"
         )
-    A, B, C = ideal.prim.form()
     key = (ideal.disc.D, ideal.prim.a, ideal.prim.b, b)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
-    A %= b
-    B %= b
-    C %= b
-    xs = np.arange(b, dtype=np.int64)
-    ax2 = (A * xs % b) * xs % b
-    cy2 = (C * xs % b) * xs % b
-    counts = np.zeros(b, dtype=np.int64)
-    chunk = max(1, 4_000_000 // b)
-    for lo in range(0, b, chunk):
-        hi = min(b, lo + chunk)
-        # intermediate products stay below b^3 <= 10^12, safely inside int64
-        bxy = (B * xs[lo:hi, None] % b) * xs[None, :] % b
-        tot = (ax2[lo:hi, None] + bxy + cy2[None, :]) % b
-        counts += np.bincount(tot.ravel(), minlength=b)
+    form = ideal.prim.form()
+    residues = np.arange(b, dtype=np.int64)
+    counts = np.ones(b, dtype=np.int64)  # every entry stays <= b^2
+    for p, e in factorize(b):
+        q = p**e
+        part = _enumerated_counts(form, q) if p == 2 else _completed_counts(form, p, q)
+        counts *= part[residues % q]
     profile = tuple(int(c) for c in counts)
     _PROFILE_CACHE[key] = profile
     return profile
+
+
+def _enumerated_counts(form: tuple[int, int, int], q: int) -> np.ndarray:
+    """Counts of Q(x, y) mod q over all q^2 pairs, in numpy chunks of rows."""
+    A, B, C = (c % q for c in form)
+    xs = np.arange(q, dtype=np.int64)
+    ax2 = (A * xs % q) * xs % q
+    cy2 = (C * xs % q) * xs % q
+    counts = np.zeros(q, dtype=np.int64)
+    chunk = max(1, 4_000_000 // q)
+    for lo in range(0, q, chunk):
+        hi = min(q, lo + chunk)
+        # intermediate products stay below q^3 <= 10^12, safely inside int64
+        bxy = (B * xs[lo:hi, None] % q) * xs[None, :] % q
+        tot = (ax2[lo:hi, None] + bxy + cy2[None, :]) % q
+        counts += np.bincount(tot.ravel(), minlength=q)
+    return counts
+
+
+def _completed_counts(form: tuple[int, int, int], p: int, q: int) -> np.ndarray:
+    """Counts of Q(x, y) mod q = p^e for odd p, by completing the square.
+
+    A unimodular change of variables, which leaves the counts alone, makes
+    the leading coefficient A a unit mod p (the form is primitive, so p does
+    not divide B when it divides A and C).  Then 4A Q(x, y) = u^2 - D y^2
+    with u = 2Ax + By, and x -> u is a bijection mod q for each y, so the
+    count at r is the number of (u, y) with u^2 - D y^2 = 4A r (mod q).
+    """
+    A, B, C = form
+    if A % p == 0:
+        A, B, C = (C, B, A) if C % p else (A + B + C, 2 * A + B, A)
+    D = B * B - 4 * A * C
+    ys = np.arange(q, dtype=np.int64)
+    y2 = ys * ys % q
+    squares = np.bincount(y2, minlength=q)
+    scaled = np.bincount(-D % q * y2 % q, minlength=q)
+    conv = np.convolve(squares, scaled)
+    conv[: q - 1] += conv[q:]
+    return conv[(4 * A % q) * ys % q]
 
 
 @dataclass(frozen=True)

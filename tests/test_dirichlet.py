@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import quadrep.dirichlet as dirichlet
+import quadrep.ideals as ideals
 from quadrep.dirichlet import (
     DEFAULT_RESIDUE_B,
     SeriesEval,
@@ -238,6 +239,15 @@ def test_l_truncated_large_disc_is_fast():
     assert time.perf_counter() - start < 2.0
     want = math.fsum(kronecker(D, k) * float(k) ** -2.0 for k in range(1, B + 1))
     assert abs(ev.value - want) <= 1e-12 * abs(want)
+
+
+def test_residue_norm_profile_large_prime_is_fast():
+    disc, b = Discriminant(21), 9973  # the largest prime under the default bound
+    ideals._PROFILE_CACHE.pop((disc.D, 1, 1, b), None)
+    start = time.perf_counter()
+    prof = ideals.residue_norm_profile(unit_ideal(disc), b)
+    assert time.perf_counter() - start < 1.0
+    assert sum(prof) == b * b
 
 
 # (D, m) on the acceptance grid, plus m = 0, vanishing divisor sums
