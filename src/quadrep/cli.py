@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .arith import DEFAULT_FACTOR_BOUND, factorize
+from .arith import factorize
 from .divisor import sigma_decomp, sigma_def, sigma_euler
 from .dirichlet import residue_at_2, series_lhs, series_rhs, verify_theorem
 from .errors import ConsistencyError, QuadrepError
@@ -45,14 +45,13 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class CliConfig:
-    max_factor_bound: int = DEFAULT_FACTOR_BOUND
     max_enum_b: int = DEFAULT_MAX_ENUM_B
     default_b: int = 5000
     tolerance: float = 1e-3
     output: str = "json"
 
     def __post_init__(self) -> None:
-        for name in ("max_factor_bound", "max_enum_b", "default_b"):
+        for name in ("max_enum_b", "default_b"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tolerance < math.inf:
@@ -62,7 +61,6 @@ class CliConfig:
 
 
 _CONFIG_KEYS = {
-    "max_factor_bound": int,
     "max_enum_b": int,
     "B": int,
     "tolerance": float,
@@ -219,7 +217,7 @@ def _fingerprint_payload(fp) -> dict:
 
 def _dft_count(ideal: FracIdeal, m: int, b: int, cfg: CliConfig) -> int:
     total = 1
-    for p, e in factorize(b, cfg.max_factor_bound):
+    for p, e in factorize(b):
         total *= rep_from_gauss_dft(ideal, m, p, e, cfg.max_enum_b)
     return total
 
@@ -245,7 +243,7 @@ def _cmd_repnum(args, cfg: CliConfig):
 def _cmd_gauss(args, cfg: CliConfig):
     b = _positive(args.b, "--b")
     if args.classical:
-        closed, vec = classical_gauss(args.a, b)
+        closed, vec = classical_gauss(args.a, b, cfg.max_enum_b)
         c = closed.as_complex()
         d = eval_complex(vec)
         return {"a": args.a, "c": b, "closed": c, "direct": d, "abs_diff": abs(c - d)}, 0
@@ -255,7 +253,7 @@ def _cmd_gauss(args, cfg: CliConfig):
     ideal = _ideal(disc, args.ideal)
     d = eval_complex(gauss_direct(ideal, args.a, b, cfg.max_enum_b))
     payload = {"a": args.a, "b": b, "direct": d}
-    fac = factorize(b, cfg.max_factor_bound) if b > 1 else []
+    fac = factorize(b) if b > 1 else []
     if len(fac) == 1:
         ((p, beta),) = fac
         c = gauss_closed(ideal, args.a, p, beta).as_complex()
@@ -369,92 +367,64 @@ def _cmd_ideal(args, cfg: CliConfig):
     }, 0
 
 
-def _suite_oracle(limit: int) -> dict:
-    checks = 0
-    failures = []
-    for D in (5, 13, 21):
-        disc = Discriminant(D)
-        for rep in genus_representatives(disc):
-            name = format_ideal(rep)
-            for b in range(1, 13):
-                for m in range(-6, 7):
-                    checks += 1
-                    if rep_count(rep, m, b) != rep_count_bruteforce(rep, m, b, limit):
-                        failures.append(f"repnum D={D} ideal={name} b={b} m={m}")
+def _reps(*Ds: int):
+    """(D, name, ideal) for each genus representative of each D."""
+    for D in Ds:
+        for rep in genus_representatives(Discriminant(D)):
+            yield D, format_ideal(rep), rep
+
+
+def _suite_oracle(limit: int):
+    for D, name, rep in _reps(5, 13, 21):
+        for b in range(1, 13):
+            for m in range(-6, 7):
+                ok = rep_count(rep, m, b) == rep_count_bruteforce(rep, m, b, limit)
+                yield f"repnum D={D} ideal={name} b={b} m={m}", ok
     for m in (1, 2):
-        checks += 1
         try:
             series_lhs(unit_ideal(Discriminant(5)), m, 4.0, 40, oracle=True, limit=limit)
         except ConsistencyError as exc:
-            failures.append(f"series oracle m={m}: {exc}")
-    return {"suite": "oracle", "checks": checks, "failures": failures}
+            yield f"series oracle m={m}: {exc}", False
+        else:
+            yield f"series oracle m={m}", True
 
 
-def _suite_gauss(limit: int) -> dict:
-    checks = 0
-    failures = []
-    for D in (5, 21):
-        disc = Discriminant(D)
-        for rep in genus_representatives(disc):
-            name = format_ideal(rep)
-            for p, beta in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)):
-                b = p**beta
-                for a in (-2, 1, 3):
-                    checks += 1
-                    closed = gauss_closed(rep, a, p, beta).as_complex()
-                    direct = eval_complex(gauss_direct(rep, a, b, limit))
-                    if abs(closed - direct) > 1e-9 * max(1.0, abs(closed)):
-                        failures.append(f"gauss D={D} ideal={name} a={a} b={b}")
+def _suite_gauss(limit: int):
+    for D, name, rep in _reps(5, 21):
+        for p, beta in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)):
+            b = p**beta
+            for a in (-2, 1, 3):
+                closed = gauss_closed(rep, a, p, beta).as_complex()
+                direct = eval_complex(gauss_direct(rep, a, b, limit))
+                ok = abs(closed - direct) <= 1e-9 * max(1.0, abs(closed))
+                yield f"gauss D={D} ideal={name} a={a} b={b}", ok
     for c in range(3, 26, 2):
         for a in (1, 2):
-            if math.gcd(a, c) != 1:
+            if math.gcd(a, c) == 1:
+                closed, vec = classical_gauss(a, c, limit)
+                ok = abs(closed.as_complex() - eval_complex(vec)) <= 1e-9
+                yield f"classical a={a} c={c}", ok
+
+
+def _suite_sigma(limit: int):
+    for D, name, rep in _reps(5, 21, 33):
+        fp = genus_fingerprint(rep)
+        for m in range(-10, 11):
+            if m == 0:
                 continue
-            checks += 1
-            closed, vec = classical_gauss(a, c)
-            if abs(closed.as_complex() - eval_complex(vec)) > 1e-9:
-                failures.append(f"classical a={a} c={c}")
-    return {"suite": "gauss", "checks": checks, "failures": failures}
+            for s in (-2.0, 0.0, 1.0, 2.0):
+                v = sigma_def(fp, m, s)
+                alt = sigma_decomp(fp, m, s), sigma_euler(fp, m, s), sigma_def(fp, m, -s)
+                ok = all(abs(v - w) <= 1e-11 * max(1.0, abs(v)) for w in alt)
+                yield f"sigma D={D} ideal={name} m={m} s={s}", ok
 
 
-def _suite_sigma(limit: int) -> dict:
-    checks = 0
-    failures = []
-    for D in (5, 21, 33):
-        disc = Discriminant(D)
-        for rep in genus_representatives(disc):
-            name = format_ideal(rep)
-            fp = genus_fingerprint(rep)
-            for m in range(-10, 11):
-                if m == 0:
-                    continue
-                for s in (-2.0, 0.0, 1.0, 2.0):
-                    checks += 1
-                    v = sigma_def(fp, m, s)
-                    scale = max(1.0, abs(v))
-                    if (
-                        abs(v - sigma_decomp(fp, m, s)) > 1e-11 * scale
-                        or abs(v - sigma_euler(fp, m, s)) > 1e-11 * scale
-                        or abs(v - sigma_def(fp, m, -s)) > 1e-11 * scale
-                    ):
-                        failures.append(f"sigma D={D} ideal={name} m={m} s={s}")
-    return {"suite": "sigma", "checks": checks, "failures": failures}
-
-
-def _suite_theorem(limit: int) -> dict:
-    checks = 0
-    failures = []
-    for D in (5, 21):
-        disc = Discriminant(D)
-        for rep in genus_representatives(disc):
-            name = format_ideal(rep)
-            for m in (0, 1, 2, 3, 4):
-                checks += 1
-                report = verify_theorem(rep, m, 4.0, 2000, 1e-3)
-                if not report.passed:
-                    failures.append(
-                        f"theorem D={D} ideal={name} m={m} err={report.abs_err:.3e}"
-                    )
-    return {"suite": "theorem", "checks": checks, "failures": failures}
+def _suite_theorem(limit: int):
+    for D, name, rep in _reps(5, 21):
+        for m in (0, 1, 2, 3, 4):
+            report = verify_theorem(rep, m, 4.0, 2000, 1e-3)
+            label = f"theorem D={D} ideal={name} m={m} err={report.abs_err:.3e}"
+            yield label, report.passed
 
 
 _SUITES = {
@@ -467,13 +437,14 @@ _SUITES = {
 
 def _cmd_verify(args, cfg: CliConfig):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    results = [_SUITES[name](cfg.max_enum_b) for name in names]
+    results = []
+    for name in names:
+        checks = list(_SUITES[name](cfg.max_enum_b))
+        failed = [label for label, ok in checks if not ok]
+        results.append({"suite": name, "checks": len(checks), "failures": failed})
+    checks = sum(r["checks"] for r in results)
     failures = sum(len(r["failures"]) for r in results)
-    payload = {
-        "suites": results,
-        "checks": sum(r["checks"] for r in results),
-        "failures": failures,
-    }
+    payload = {"suites": results, "checks": checks, "failures": failures}
     return payload, 3 if failures else 0
 
 

@@ -18,18 +18,26 @@ from math import gcd, sqrt
 import numpy as np
 
 from .arith import eps, is_prime, kronecker, rational_legendre, valuation
-from .ideals import FracIdeal, coprime_to, ramified_sign, residue_norm_profile
+from .ideals import (
+    FracIdeal,
+    check_enum_bound,
+    coprime_to,
+    ramified_sign,
+    residue_norm_profile,
+)
 
 
 @dataclass(frozen=True)
 class ExponentVector:
     """Integer counts: counts[t] copies of e(t/b).
 
-    A vector built from a full residue enumeration has sum(counts) = b^2.
+    counts is any length-b integer sequence: the library returns tuples,
+    which compare and hash, and evaluates the Gauss DFT's int64 array as it
+    is.  A vector from a full residue enumeration sums to b^2.
     """
 
     b: int
-    counts: tuple[int, ...]
+    counts: tuple[int, ...] | np.ndarray
 
     def __post_init__(self) -> None:
         if self.b < 1 or len(self.counts) != self.b:
@@ -60,15 +68,10 @@ class ExactGaussValue:
         return complex(self.coeff) * eps(self.p) * sqrt(self.p)
 
 
-def roots_of_unity(b: int) -> np.ndarray:
-    """e(t/b) for t = 0..b-1."""
-    return np.exp(2j * np.pi * np.arange(b) / b)
-
-
 def eval_complex(vec: ExponentVector) -> complex:
     """Evaluate sum counts[t] * e(t/b) in double precision."""
     counts = np.asarray(vec.counts, dtype=np.float64)
-    return complex(counts @ roots_of_unity(vec.b))
+    return complex(counts @ np.exp(2j * np.pi * np.arange(vec.b) / vec.b))
 
 
 def gauss_direct(
@@ -116,18 +119,21 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
     return ExactGaussValue("ramified", Fraction(sign * p ** (alpha + beta)), p)
 
 
-def classical_gauss(a: int, c: int) -> tuple[ExactGaussValue, ExponentVector]:
+def classical_gauss(
+    a: int, c: int, limit: int | None = None
+) -> tuple[ExactGaussValue, ExponentVector]:
     """The classical sum over x mod c of e(a x^2 / c), closed and direct.
 
     For odd c > 0 with gcd(a, c) = 1 the closed value is
-    eps(c) * sqrt(c) * (a|c).
+    eps(c) * sqrt(c) * (a|c).  The direct side enumerates all c residues, so
+    c is held to the same enumeration bound as residue profiles.
     """
     if c <= 0 or c % 2 == 0:
         raise ValueError(f"classical Gauss sum needs odd c > 0, got {c}")
     if gcd(a, c) != 1:
         raise ValueError(f"a = {a} must be coprime to c = {c}")
+    check_enum_bound(c, limit)
     closed = ExactGaussValue("ramified", Fraction(kronecker(a, c)), c)
-    counts = [0] * c
-    for x in range(c):
-        counts[a * x * x % c] += 1
-    return closed, ExponentVector(c, tuple(counts))
+    xs = np.arange(c, dtype=np.int64)
+    counts = np.bincount(xs * xs % c * (a % c) % c, minlength=c)
+    return closed, ExponentVector(c, tuple(counts.tolist()))

@@ -9,8 +9,11 @@ module is exact integer/rational arithmetic.  The one enumeration primitive,
 (Z/bZ)^2 with numpy: it splits b into prime powers by the Chinese remainder
 theorem, counts each odd part by completing the square and convolving two
 histograms of squares, and enumerates only the 2-part pair by pair.
-`ramified_sign` is the one home of the local sign at a ramified prime shared by
-the closed representation numbers, both Euler factors and ramified Gauss sums.
+Genus fingerprints are read off one value of the norm form coprime to D,
+and coprimality off the coordinates a, num and den; neither multiplies
+ideals.  `ramified_sign` is the one home of the local sign at a ramified
+prime shared by the closed representation numbers, both Euler factors and
+ramified Gauss sums.
 """
 
 from __future__ import annotations
@@ -22,20 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (
-    factorize,
-    is_prime,
-    kronecker,
-    primes_upto,
-    rational_legendre,
-    sqrt_mod,
-    valuation,
-    xgcd,
-)
-from .errors import (
-    EnumerationBoundError,
-    RepresentativeSearchError,
-)
+from .arith import factorize, is_prime, kronecker, primes_upto, sqrt_mod, valuation, xgcd
+from .errors import EnumerationBoundError, RepresentativeSearchError
 from .quadfield import Discriminant, QuadElem, omega
 
 DEFAULT_MAX_ENUM_B = 10_000
@@ -50,6 +41,15 @@ def max_enum_b(default: int = DEFAULT_MAX_ENUM_B) -> int:
         except ValueError as exc:
             raise ValueError(f"QUADREP_MAX_B must be an integer, got {env!r}") from exc
     return default
+
+
+def check_enum_bound(b: int, limit: int | None) -> None:
+    """Refuse to enumerate b residues past `limit`, or max_enum_b() when None."""
+    bound = limit if limit is not None else max_enum_b()
+    if b > bound:
+        raise EnumerationBoundError(
+            f"modulus {b} exceeds enumeration bound {bound} (QUADREP_MAX_B overrides)"
+        )
 
 
 class PrimIdeal:
@@ -265,34 +265,18 @@ def prime_above(disc: Discriminant, p: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(p, "split", FracIdeal(1, prim)) for prim in found]
 
 
-def ideal_valuation(ideal: FracIdeal, prime: PrimeIdeal) -> int:
-    """Exponent of the prime in the ideal's factorization.
-
-    The rational scale contributes through the ramification index; the
-    primitive part is peeled off by repeated exact division.
-    """
-    v = prime.ramification_index() * valuation(ideal.scale, prime.p)
-    pinv = prime.ideal.inverse()
-    x = FracIdeal(1, ideal.prim)
-    while True:
-        y = x * pinv
-        if not y.is_integral():
-            return v
-        x = y
-        v += 1
-
-
 def coprime_to(ideal: FracIdeal, n: int) -> bool:
-    """True when every prime above every prime factor of n has valuation 0."""
+    """True when every prime above every prime factor of n has valuation 0.
+
+    That is gcd(n, a * num * den) = 1 for the ideal (num/den) * [a, b]: a
+    prime above p divides the primitive part exactly when p | a, and that
+    part holds at most one prime above p (once, if p ramifies), so a scale
+    with val_p != 0 always leaves some prime above p a nonzero valuation.
+    """
     if n == 0:
         raise ValueError("coprimality to 0 is not meaningful")
-    if abs(n) == 1:
-        return True
-    for p, _ in factorize(n):
-        for prime in prime_above(ideal.disc, p):
-            if ideal_valuation(ideal, prime) != 0:
-                return False
-    return True
+    s = ideal.scale
+    return math.gcd(n, ideal.prim.a * s.numerator * s.denominator) == 1
 
 
 # Profiles depend only on (D, a, b, modulus); scales drop out entirely.
@@ -313,11 +297,7 @@ def residue_norm_profile(
     """
     if b < 1:
         raise ValueError(f"modulus must be >= 1, got {b}")
-    bound = limit if limit is not None else max_enum_b()
-    if b > bound:
-        raise EnumerationBoundError(
-            f"modulus {b} exceeds enumeration bound {bound} (QUADREP_MAX_B overrides)"
-        )
+    check_enum_bound(b, limit)
     key = (ideal.disc.D, ideal.prim.a, ideal.prim.b, b)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
@@ -415,63 +395,29 @@ _FINGERPRINT_CACHE: dict[tuple, GenusFingerprint] = {}
 def genus_fingerprint(ideal: FracIdeal) -> GenusFingerprint:
     """The genus fingerprint of the ideal.
 
-    Reads the Legendre symbols of the norm at each ramified prime, replacing
-    the ideal by a coprime representative of the same genus first whenever it
-    meets a ramified prime.  Results are cached per ideal.
+    The signs are (n | p) at the ramified p for the first n > 0 coprime to D
+    that the norm form takes on square shells of radius 1..200.  Such an n is
+    the norm of (lambda) * ideal^(-1), an integral ideal in the same genus,
+    so by genus theory every such n gives the same signs.  Cached per ideal.
     """
     key = ideal.key()
     cached = _FINGERPRINT_CACHE.get(key)
     if cached is not None:
         return cached
     disc = ideal.disc
-    rep = ideal
-    if not coprime_to(ideal, disc.D):
-        rep = coprime_genus_representative(ideal, 1)
-    n = rep.norm()
-    fp = GenusFingerprint(disc, tuple(rational_legendre(n, p) for p in disc.primes))
+    A, B, C = ideal.prim.form()
+    values = (
+        A * x * x + B * x * y + C * y * y
+        for r in range(1, 201)
+        for x in range(-r, r + 1)
+        for y in (range(-r, r + 1) if abs(x) == r else (-r, r))
+    )
+    n = next((v for v in values if v > 0 and math.gcd(v, disc.D) == 1), None)
+    if n is None:
+        raise RepresentativeSearchError(f"no value coprime to D in box 200 for {ideal!r}")
+    fp = GenusFingerprint(disc, tuple(kronecker(n, p) for p in disc.primes))
     _FINGERPRINT_CACHE[key] = fp
     return fp
-
-
-def coprime_genus_representative(
-    ideal: FracIdeal, n: int, box: int = 200
-) -> FracIdeal:
-    """An integral ideal of the same genus, coprime to n*D.
-
-    Searches lambda = x*alpha + y*beta over an expanding coordinate box for
-    a totally positive-norm element with N(lambda)/N(ideal) coprime to n*D,
-    then returns (lambda) * ideal^(-1).  The search is deterministic; the
-    default box is far larger than desk-scale inputs ever need.
-    """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    disc = ideal.disc
-    target = abs(n) * disc.D
-    A, B, C = ideal.prim.form()
-
-    def q(x: int, y: int) -> int:
-        return A * x * x + B * x * y + C * y * y
-
-    for radius in range(1, box + 1):
-        shell = []
-        for x in range(-radius, radius + 1):
-            for y in range(-radius, radius + 1):
-                if max(abs(x), abs(y)) == radius:
-                    shell.append((x, y))
-        for x, y in sorted(shell):
-            val = q(x, y)
-            if val <= 0 or math.gcd(val, target) != 1:
-                continue
-            lam = QuadElem(disc, 2 * ideal.prim.a * x + ideal.prim.b * y, y)
-            rep = principal_ideal(lam, ideal.scale) * ideal.inverse()
-            if not rep.is_integral():
-                raise RepresentativeSearchError(
-                    f"representative of {ideal!r} came out non-integral"
-                )
-            return rep
-    raise RepresentativeSearchError(
-        f"no element coprime to {target} found in box {box} for {ideal!r}"
-    )
 
 
 def genus_representatives(disc: Discriminant, prime_bound: int = 2000) -> list[FracIdeal]:

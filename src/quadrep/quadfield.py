@@ -17,7 +17,7 @@ class Discriminant:
     Accepts exactly the squarefree odd integers D > 1 with D = 1 (mod 4).
     """
 
-    __slots__ = ("D", "ramified_primes")
+    __slots__ = ("D", "primes")
 
     def __init__(self, D: int):
         if not isinstance(D, int) or isinstance(D, bool):
@@ -32,15 +32,11 @@ class Discriminant:
         if any(e > 1 for _, e in fac):
             raise ValueError(f"discriminant must be squarefree, got {D}")
         self.D = D
-        self.ramified_primes = tuple(fac)
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.ramified_primes)
+        self.primes = tuple(p for p, _ in fac)
 
     @property
     def omega(self) -> int:
-        return len(self.ramified_primes)
+        return len(self.primes)
 
     def chi(self, n: int) -> int:
         """The quadratic character attached to D: chi_D(n) = (D|n)."""

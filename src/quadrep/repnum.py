@@ -13,7 +13,7 @@ import numpy as np
 
 from .arith import factorize, kronecker, valuation
 from .errors import ConsistencyError
-from .gauss import roots_of_unity
+from .gauss import ExponentVector, eval_complex
 from .ideals import FracIdeal, genus_fingerprint, ramified_sign, residue_norm_profile
 from .quadfield import Discriminant
 
@@ -120,7 +120,7 @@ def rep_from_gauss_dft(
     for gv in np.unique(g):
         weight = int(profile[g == gv].sum()) * int(gv)
         coeffs[::gv] += weight
-    value = complex(coeffs.astype(np.float64) @ roots_of_unity(b)) / b
+    value = eval_complex(ExponentVector(b, coeffs)) / b
     n = round(value.real)
     if abs(value - n) > DFT_RESIDUAL_TOL:
         raise ConsistencyError(

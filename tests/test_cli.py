@@ -329,6 +329,34 @@ def test_env_bound_outranks_config(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: QUADREP_MAX_B") and err.count("\n") == 1
 
 
+def test_config_max_factor_bound_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "quadrep.cfg"
+    cfg.write_text("max_factor_bound=100\n")
+    code, out, err = run(
+        capsys,
+        ["repnum", "--disc", "5", "--m", "1", "--b", "1001", "--method", "all",
+         "--config", str(cfg)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown config key 'max_factor_bound'" in err and err.count("\n") == 1
+
+
+def test_classical_gauss_respects_enum_bound(capsys, monkeypatch):
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    argv = ["gauss", "--classical", "--a", "1", "--b", "10001"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "exceeds enumeration bound 10000" in err and err.count("\n") == 1
+    monkeypatch.setenv("QUADREP_MAX_B", "20000")
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c"] == 10001
+    assert payload["abs_diff"] < 1e-6
+
+
 def test_load_config_rejects_garbage(tmp_path):
     from quadrep.cli import UsageError
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quadrep.arith import eps, is_prime, kronecker
+from quadrep.errors import EnumerationBoundError
 from quadrep.gauss import (
     ExactGaussValue,
     ExponentVector,
@@ -136,7 +137,7 @@ def test_classical_pinned():
 
 def test_classical_grid():
     for c in range(3, 40, 2):
-        for a in (1, 2, 4, 7):
+        for a in (-3, 1, 2, 4, 7):
             if math.gcd(a, c) != 1:
                 continue
             closed, vec = classical_gauss(a, c)
@@ -150,6 +151,8 @@ def test_classical_validation():
         classical_gauss(3, 9)
     with pytest.raises(ValueError):
         classical_gauss(1, -3)
+    with pytest.raises(EnumerationBoundError):
+        classical_gauss(1, 11, limit=9)
 
 
 def test_twisted_sum():

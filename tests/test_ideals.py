@@ -1,19 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrep.errors import EnumerationBoundError, RepresentativeSearchError
 from quadrep.ideals import (
     FracIdeal,
     GenusFingerprint,
     PrimIdeal,
-    coprime_genus_representative,
     coprime_to,
     different_ideal,
     format_ideal,
     genus_fingerprint,
     genus_representatives,
-    ideal_valuation,
     parse_ideal,
     prime_above,
     principal_ideal,
@@ -23,6 +23,13 @@ from quadrep.ideals import (
 from quadrep.quadfield import Discriminant, QuadElem, omega
 
 from conftest import fixture_ideals
+from genus_reference import (
+    coprime_by_valuations,
+    coprime_genus_representative,
+    fingerprint_by_representative,
+    ideal_valuation,
+)
+from test_profile import SMALL_PRIMES, small_ideals
 
 d5 = Discriminant(5)
 d17 = Discriminant(17)
@@ -265,3 +272,45 @@ def test_representative_search_failure():
     # impossible demand: no shell search can make the unit ideal coprime to 0
     with pytest.raises((RepresentativeSearchError, ValueError)):
         coprime_genus_representative(unit_ideal(d5), 0)
+
+
+# Genus-layer properties: the fingerprint read off one norm-form value and
+# coprimality read off the coordinates, held to the ideal-arithmetic paths of
+# genus_reference.py.  Each example also tries the ideal's inverse and its
+# products with a prime J above p < 60 and with J^(-1), so that scales with
+# inert and ramified primes in them occur.
+def _variants(ideal, p, k):
+    primes = prime_above(ideal.disc, p)
+    J = primes[k % len(primes)].ideal
+    return J, (ideal, ideal.inverse(), ideal * J, ideal * J.inverse())
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ideal=small_ideals(), p=st.sampled_from(SMALL_PRIMES), k=st.integers(0, 1))
+def test_fingerprint_property_matches_representative(ideal, p, k):
+    for variant in _variants(ideal, p, k)[1]:
+        assert genus_fingerprint(variant) == fingerprint_by_representative(variant)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ideal=small_ideals(), p=st.sampled_from(SMALL_PRIMES), k=st.integers(0, 1))
+def test_fingerprint_property_invariance(ideal, p, k):
+    J, _ = _variants(ideal, p, k)
+    fp = genus_fingerprint(ideal)
+    assert genus_fingerprint(ideal.conjugate()) == fp
+    assert genus_fingerprint(ideal.inverse()) == fp
+    assert genus_fingerprint(ideal * J * J) == fp
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    ideal=small_ideals(),
+    p=st.sampled_from(SMALL_PRIMES),
+    k=st.integers(0, 1),
+    n=st.integers(-500, 500).filter(bool),
+)
+def test_coprime_to_property_matches_valuations(ideal, p, k, n):
+    # p * (n % 8 + 1) <= 472 always meets the primes above p
+    for variant in _variants(ideal, p, k)[1]:
+        for m in (n, p * (n % 8 + 1)):
+            assert coprime_to(variant, m) == coprime_by_valuations(variant, m)
