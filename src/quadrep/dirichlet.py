@@ -8,7 +8,9 @@ zeta and L sums (the m = 0 case degenerates to
 zeta(s-1) L(s-1, chi_D) / L(s, chi_D)); the L sums read chi_D off a product
 of Legendre tables (chi_table), one per ramified prime.  Both sides converge
 for s > 2 and the identity has a simple pole at s = 2 with an explicit
-residue.
+residue, a ratio of L(1, chi_D), L(2, chi_D) and the divisor sum at -1:
+residue_at_2 takes both L-values from their finite closed forms over one
+period of chi_D when D <= B, and from truncated sums otherwise.
 """
 
 from __future__ import annotations
@@ -125,24 +127,61 @@ def chi_table(disc: Discriminant, n: int | None = None) -> np.ndarray:
 
     For D = 1 (mod 4) squarefree, chi_D(k) is the Jacobi symbol (k | D), the
     product of the Legendre symbols (k | q) over the primes q | D.  Each
-    Legendre table costs O(q) numpy work and is repeated or cut to the
+    Legendre table costs O(q) numpy work and is tiled and cut to the
     length asked for, instead of one kronecker call per entry.
     """
     n = disc.D if n is None else min(n, disc.D)
     chi = np.ones(n, dtype=np.int8)
     for q in disc.primes:
-        chi *= np.resize(_legendre_table(q), n)
+        chi *= np.tile(_legendre_table(q), -(-n // q))[:n]
     return chi
+
+
+def _l1_closed(chi: np.ndarray) -> float:
+    """L(1, chi_D) = -D^(-1/2) sum over 0 < a < D of chi(a) log sin(pi a/D).
+
+    `chi` is one full period of chi_D (Davenport, Multiplicative Number
+    Theory, ch. 1 and 6).  chi_D is even, so chi(D - a) = chi(a) folds the
+    sum onto a < D/2; D is odd, so no middle term is left over.  The sum
+    is np.sum's pairwise float64 sum, not np.dot: with OpenBLAS on its
+    default threads, the dot took 8 ms from about 3 * 10^4 terms on a
+    2-core Intel Xeon, against 0.1 ms for np.sum.
+    """
+    D = chi.size
+    half = (D + 1) // 2
+    logs = np.log(np.sin(np.arange(1, half) * (math.pi / D)))
+    logs *= chi[1:half]
+    return -2.0 * float(np.sum(logs)) / math.sqrt(D)
+
+
+def _l2_closed(chi: np.ndarray) -> float:
+    """L(2, chi_D) = pi^2 D^(-5/2) sum over 0 < a < D of chi(a) a^2.
+
+    `chi` is one full period of chi_D (Washington, Introduction to
+    Cyclotomic Fields, 4.1).  The integer sum is exact: int64 dot products
+    over blocks short enough that no partial sum reaches 2^63, added as
+    Python ints; below D of about 2 * 10^6 that is a single block.
+    """
+    D = chi.size
+    a = np.arange(D, dtype=np.int64)
+    squares, weights = a * a, chi.astype(np.int64)
+    step = (2**63 - 1) // (D * D)
+    total = sum(
+        int(np.dot(weights[i : i + step], squares[i : i + step]))
+        for i in range(0, D, step)
+    )
+    return math.pi**2 * total / (D * D * math.sqrt(D))
 
 
 def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
     """Partial sum of L(s, chi_D); Abel summation bounds the tail by D * B^(-s).
 
     The character's partial sums are bounded by its period D, which covers
-    every s > 0; only s > 1 is exercised except for the residue's L(1).
-    No tail is added back here: the signed tail oscillates around zero, so
-    the partial sum is already the best estimate.  Only the min(D, B + 1)
-    table entries the sum reads are built.
+    every s > 0.  series_rhs calls it at s > 1, and residue_at_2 at s = 1
+    and 2 only when D > B, where the bound at s = 1, D/B, exceeds 1 and
+    certifies nothing.  No tail is added back here: the signed tail
+    oscillates around zero, so the partial sum is already the best
+    estimate.  Only the min(D, B + 1) table entries the sum reads are built.
     """
     if not s > 0:
         raise ValueError(f"L truncation needs s > 0, got {s}")
@@ -312,14 +351,25 @@ def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
 def residue_at_2(fp: GenusFingerprint, m: int, B: int = DEFAULT_RESIDUE_B) -> float:
     """Residue of the series at its simple pole s = 2.
 
-    For m != 0 this is |m|^(-1) sigma(m, -1) / L(2, chi_D); for m = 0 it is
-    L(1, chi_D) / L(2, chi_D), with L(1) summed directly under the Abel bound.
+    For m != 0 this is |m|^(-1) sigma(m, -1) / L(2, chi_D), and 0.0 at once
+    when the divisor sum vanishes; for m = 0 it is L(1, chi_D) / L(2, chi_D).
+    When D <= B both L-values come from their closed forms over one period
+    of chi_D (_l1_closed, _l2_closed): O(D) work, correct to rounding
+    (about 1e-16 relative at D <= 4389).  Otherwise they are partial sums
+    to B terms (l_truncated), whose error is not reported: at the default
+    B and D = 48,612,265, L(1) is off by about 1.5e-3 (3.5e-4 relative).
     """
+    if m:
+        sigma = sigma_def(fp, m, -1.0)
+        if sigma == 0.0:
+            return 0.0
     disc = fp.disc
-    l2 = l_truncated(disc, 2, B).value
+    closed = disc.D <= B
+    chi = chi_table(disc) if closed else None
+    l2 = _l2_closed(chi) if closed else l_truncated(disc, 2, B).value
     if m == 0:
-        return l_truncated(disc, 1, B).value / l2
-    return sigma_def(fp, m, -1.0) / (abs(m) * l2)
+        return (_l1_closed(chi) if closed else l_truncated(disc, 1, B).value) / l2
+    return sigma / (abs(m) * l2)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,17 @@ evaluation routes are provided: the defining sum, the rearrangement over
 discriminant decompositions D = D1 * D2, and the Euler product.  The ramified
 Euler factors take their sign from `ideals.ramified_sign`; the defining sum and
 the decomposition never call it, so each stays an independent check on it.
+
+Each route is scaled so that no intermediate exceeds the result: |m|^((1-s)/2)
+is split as sqrt|m| times |m|^(-s/2), and the second part is spread over the
+terms, d^s becoming (d^2/|m|)^(s/2) and each Euler factor at p^nu || m being
+centred by p^(-nu s/2).  sigma(m, 400) for m = 6 (about 1e156) is then finite
+although 6^400 is not.
 """
 
 from __future__ import annotations
+
+import math
 
 from .arith import divisors, factorize, kronecker, valuation
 from .ideals import GenusFingerprint, ramified_sign
@@ -62,25 +70,44 @@ def sigma_def(fp: GenusFingerprint, m: int, s: float) -> float:
             if f == 0:
                 break
         if f:
-            total += f * float(d) ** s
-    return abs(m) ** ((1 - s) / 2) * total
+            total += f * (d * d / abs(m)) ** (s / 2)
+    return math.sqrt(abs(m)) * total
 
 
-def sigma_factor_unramified(disc: Discriminant, m: int, p: int, s: float) -> float:
-    """Euler factor at p not dividing D: geometric sum of chi_D(p)^k p^(ks).
+def _power_sum(p: int, weights: list[int], s: float, centred: bool) -> float:
+    """Sum over k <= nu of weights[k] p^(ks), term by term; nu = len(weights) - 1.
 
-    Equals (1 - (chi p^s)^(nu+1)) / (1 - chi p^s) with nu = val_p(m), read as
-    the limit nu + 1 when chi_D(p) p^s = 1.
+    centred multiplies the sum by p^(-nu s/2): the terms are then at most
+    p^(nu |s|/2), the size of the centred factor itself.
     """
+    centre = (len(weights) - 1) / 2 if centred else 0
+    return sum(w * float(p) ** ((k - centre) * s) for k, w in enumerate(weights) if w)
+
+
+def _unramified_weights(disc: Discriminant, m: int, p: int) -> list[int]:
+    """chi_D(p)^k for k = 0..val_p(m): the Euler factor at p not dividing D."""
     _check_m(m)
     if disc.D % p == 0:
         raise ValueError(f"{p} ramifies in D = {disc.D}")
-    nu = valuation(m, p)
     chi = kronecker(disc.D, p)
-    t = chi * float(p) ** s
-    if t == 1.0:
-        return float(nu + 1)
-    return (1 - t ** (nu + 1)) / (1 - t)
+    return [chi**k for k in range(valuation(m, p) + 1)]
+
+
+def _ramified_weights(fp: GenusFingerprint, m: int, p: int) -> list[int]:
+    """The Euler factor 1 + sign * p^(nu s) at a ramified p, as weights by exponent."""
+    _check_m(m)
+    sign = ramified_sign(fp.disc, p, m, fp.sign(p))
+    nu = valuation(m, p)
+    return [1 + sign] if nu == 0 else [1] + [0] * (nu - 1) + [sign]
+
+
+def sigma_factor_unramified(disc: Discriminant, m: int, p: int, s: float) -> float:
+    """Euler factor at p not dividing D: sum of chi_D(p)^k p^(ks) for k <= nu.
+
+    nu = val_p(m).  The geometric sum is added term by term, so no power
+    beyond the largest term p^(nu s) is formed.
+    """
+    return _power_sum(p, _unramified_weights(disc, m, p), s, False)
 
 
 def sigma_factor_ramified(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
@@ -89,22 +116,24 @@ def sigma_factor_ramified(fp: GenusFingerprint, m: int, p: int, s: float) -> flo
     The sign is ramified_sign with nu = val_p(m), the norm symbol coming
     from the fingerprint.
     """
-    _check_m(m)
-    sign = ramified_sign(fp.disc, p, m, fp.sign(p))
-    return 1 + sign * float(p ** valuation(m, p)) ** s
+    return _power_sum(p, _ramified_weights(fp, m, p), s, False)
 
 
 def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
-    """The divisor sum as a finite Euler product over primes dividing m*D."""
+    """The divisor sum as a finite Euler product over primes dividing m*D.
+
+    Each factor at p^nu || m is taken centred, times p^(-nu s/2); the
+    centring factors multiply to |m|^(-s/2), so sqrt|m| is all that is left.
+    """
     _check_m(m)
     disc = fp.disc
     value = 1.0
     for p in disc.primes:
-        value *= sigma_factor_ramified(fp, m, p, s)
+        value *= _power_sum(p, _ramified_weights(fp, m, p), s, True)
     for p, _ in factorize(m):
         if disc.D % p != 0:
-            value *= sigma_factor_unramified(disc, m, p, s)
-    return abs(m) ** ((1 - s) / 2) * value
+            value *= _power_sum(p, _unramified_weights(disc, m, p), s, True)
+    return math.sqrt(abs(m)) * value
 
 
 def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
@@ -120,7 +149,9 @@ def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
     unram = 1.0
     for p in fac:
         if disc.D % p != 0:
-            unram *= sigma_factor_unramified(disc, m, p, s)
+            unram *= _power_sum(p, _unramified_weights(disc, m, p), s, True)
+    # the ramified part m_D1 * m_D2 of m is the same for every pair
+    m_ram = math.prod(p ** fac.get(p, 0) for p in disc.primes)
     fp_by_p = fp.as_dict()
     total = 0.0
     for d1, d2 in disc_decompositions(disc):
@@ -138,10 +169,10 @@ def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
             kronecker(d1, m_d2)
             * chi_d2_norm
             * kronecker(d2, m0 * m_d1)
-            * float(m_d2) ** s
+            * (m_d2 * m_d2 / m_ram) ** (s / 2)
         )
         total += term
-    return abs(m) ** ((1 - s) / 2) * total * unram
+    return math.sqrt(abs(m)) * total * unram
 
 
 def sigma_vanishes(fp: GenusFingerprint, m: int) -> bool:

@@ -114,13 +114,28 @@ def test_bad_input_is_one_line_usage_error(capsys, argv):
 
 
 def test_float_overflow_exits_1(capsys):
-    # 6^400 in the divisor sum is past the largest double
+    # sigma(6, 1000) is about 6^500.5, past the largest double
     code, out, err = run(
-        capsys, ["sigma", "--disc", "5", "--m", "6", "--s", "400", "--form", "all"]
+        capsys, ["sigma", "--disc", "5", "--m", "6", "--s", "1000", "--form", "all"]
     )
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sigma_large_s_matches_exact_value(capsys):
+    # sigma(6, s) = 6^((1-s)/2) * 2 (1 - 2^s - 3^s + 6^s) at D = 5, and
+    # sigma(6, -s) = sigma(6, s); at s = 400 it is about 1e156 although 6^400
+    # is past the largest double
+    for s in (400, -400):
+        code, out, _ = run(
+            capsys, ["sigma", "--disc", "5", "--m", "6", "--s", str(s), "--form", "all"]
+        )
+        assert code == 0
+        n = abs(s)
+        exact = float(Fraction(2 * (1 - 2**n - 3**n + 6**n), 6 ** (n // 2))) * 6**0.5
+        for form, value in json.loads(out).items():
+            assert abs(value - exact) <= 1e-12 * exact, (s, form, value)
 
 
 def test_non_finite_result_exits_1(capsys, monkeypatch):

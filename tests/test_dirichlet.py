@@ -7,7 +7,6 @@ import pytest
 import quadrep.dirichlet as dirichlet
 import quadrep.ideals as ideals
 from quadrep.dirichlet import (
-    DEFAULT_RESIDUE_B,
     SeriesEval,
     chi_table,
     euler_factor_ramified,
@@ -21,11 +20,13 @@ from quadrep.dirichlet import (
     zeta_truncated,
 )
 from quadrep.arith import kronecker, primes_upto
+from quadrep.divisor import sigma_def
 from quadrep.errors import ConsistencyError
 from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
 from quadrep.quadfield import Discriminant
 from quadrep.repnum import g_rep, rep_count_prime_power
 
+import l_reference
 from conftest import VALID_DISCS, fixture_ideals
 from series_reference import coefficients_loop, partial_sum
 
@@ -179,15 +180,88 @@ def test_sides_agree_at_s_4():
 
 
 def test_residue_pinned():
+    # L(2, chi_5) = 4 pi^2/(25 sqrt 5) and L(1, chi_5) = 2 log((1+sqrt 5)/2)/sqrt 5
+    l2 = 4 * math.pi**2 / (25 * math.sqrt(5))
+    l1 = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
+    chi = chi_table(d5)
+    assert abs(dirichlet._l2_closed(chi) - l2) < 1e-14 * l2
+    assert abs(dirichlet._l1_closed(chi) - l1) < 1e-14 * l1
     res = residue_at_2(fp_unit(d5), 1)
-    want = 2.0 / l_truncated(d5, 2.0, DEFAULT_RESIDUE_B).value
-    assert abs(res - want) < 1e-12
-    assert abs(res - 2.8320131773125854) < 1e-10
+    assert abs(res - 12.5 * math.sqrt(5) / math.pi**2) < 1e-14 * res
     assert residue_at_2(fp_unit(d5), 2) == 0.0
     m0 = residue_at_2(fp_unit(d5), 0)
-    l1 = l_truncated(d5, 1.0, DEFAULT_RESIDUE_B).value
-    l2 = l_truncated(d5, 2.0, DEFAULT_RESIDUE_B).value
-    assert abs(m0 - l1 / l2) < 1e-12
+    assert abs(m0 - l1 / l2) < 1e-14 * m0
+
+
+ORACLE_DISCS = (5, 21, 105, 1365, 4389)
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def test_closed_l_values_match_oracle():
+    for D in ORACLE_DISCS:
+        chi = chi_table(Discriminant(D))
+        assert _rel(dirichlet._l1_closed(chi), l_reference.l_value(D, 1)) < 1e-13, D
+        assert _rel(dirichlet._l2_closed(chi), l_reference.l_value(D, 2)) < 1e-13, D
+
+
+def test_residue_matches_oracle():
+    for D in ORACLE_DISCS:
+        fp = fp_unit(Discriminant(D))
+        for m in (0, 1, -3):
+            got, want = residue_at_2(fp, m), l_reference.residue(fp, m)
+            if want == 0:
+                assert got == 0.0, (D, m)
+            else:
+                assert _rel(got, want) < 1e-13, (D, m, got)
+
+
+def test_l_truncated_tail_bound_covers_error():
+    # L(2.25) is left out at D = 1365 only to keep the oracle's cost down
+    for D in (5, 21, 105, 1365):
+        disc = Discriminant(D)
+        for s in (1, 2, 2.25) if D < 1000 else (1, 2):
+            want = l_reference.l_value(D, s)
+            for B in (10, 1000, 20_000):
+                ev = l_truncated(disc, s, B)
+                assert abs(ev.value - want) <= ev.tail_bound, (D, s, B)
+
+
+def test_residue_past_b_is_truncated(monkeypatch):
+    # D > B: the partial sums to B terms, exactly as l_truncated gives them
+    disc = Discriminant(105)
+    fp, B = fp_unit(disc), 100
+    l1, l2 = l_truncated(disc, 1.0, B).value, l_truncated(disc, 2.0, B).value
+    assert residue_at_2(fp, 0, B) == l1 / l2
+    assert residue_at_2(fp, 1, B) == sigma_def(fp, 1, -1.0) / l2
+    # at the default B, D = 48,612,265 keeps the values the truncated sums gave
+    big = fp_unit(Discriminant(48_612_265))
+    assert residue_at_2(big, 0) == 2.790967866943613
+    assert residue_at_2(big, 4) == 72.32931630244225
+    monkeypatch.setattr(dirichlet, "_l2_closed", None)
+    assert residue_at_2(big, 1) == 41.33103788710986
+
+
+def test_vanishing_residue_builds_no_table(monkeypatch):
+    monkeypatch.setattr(dirichlet, "chi_table", None)
+    monkeypatch.setattr(dirichlet, "l_truncated", None)
+    assert residue_at_2(fp_unit(d5), 2) == 0.0
+    assert residue_at_2(fp_unit(d21), 3) == 0.0
+
+
+def test_l2_closed_sum_is_exact_past_int64():
+    # at this prime D the squares chi_D reads add up past 2^63, so the sum
+    # is taken in blocks; compare it with Python integers over the same table
+    D = 3_100_057
+    chi = chi_table(Discriminant(D))
+    a = np.arange(D, dtype=np.int64)
+    plus, minus = a[chi == 1].tolist(), a[chi == -1].tolist()
+    assert sum(x * x for x in plus + minus) >= 2**63
+    exact = sum(x * x for x in plus) - sum(x * x for x in minus)
+    want = math.pi**2 * exact / (D * D * math.sqrt(D))
+    assert dirichlet._l2_closed(chi) == want
 
 
 def test_residue_by_richardson_extrapolation():
