@@ -43,6 +43,18 @@ class UsageError(Exception):
     """Bad invocation; printed with the grammar and exit code 2."""
 
 
+def _error_line(message: str) -> str:
+    """The stderr line for an error, its line breaks escaped."""
+    return "error: " + "\\n".join(message.splitlines()) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line usage error in place of the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, _error_line(f"{self.prog}: {message}"))
+
+
 @dataclass(frozen=True)
 class CliConfig:
     max_enum_b: int = DEFAULT_MAX_ENUM_B
@@ -460,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", default=None, help="key=value config file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadrep",
         description="Representation numbers of ideals in real quadratic fields "
         "of odd squarefree discriminant, with Gauss sums, generalized divisor "
@@ -546,13 +558,16 @@ def main(argv: list[str] | None = None) -> int:
         # a non-finite result is a computation error: strict JSON refuses it
         emit(payload, args.output or cfg.output, args.meta)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 2
     except (QuadrepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return 1
     except OverflowError as exc:
-        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(f"floating-point overflow: {exc}"))
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(_error_line(f"out of memory: {exc}"))
         return 1
     return code
 

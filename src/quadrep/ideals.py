@@ -7,8 +7,8 @@ a 2x2 Hermite normal form over the half-integer coordinates, so the whole
 module is exact integer/rational arithmetic.  The one enumeration primitive,
 `residue_norm_profile`, counts the values of the ideal's norm form on
 (Z/bZ)^2 with numpy: it splits b into prime powers by the Chinese remainder
-theorem, counts each odd part by completing the square and convolving two
-histograms of squares, and enumerates only the 2-part pair by pair.
+theorem and Hensel-lifts each part p^e from the smooth points mod p, counted
+for odd p by completing the square and convolving two histograms of squares.
 Genus fingerprints are read off one value of the norm form coprime to D,
 and coprimality off the coordinates a, num and den; neither multiplies
 ideals.  `ramified_sign` is the one home of the local sign at a ramified
@@ -44,7 +44,13 @@ def max_enum_b(default: int = DEFAULT_MAX_ENUM_B) -> int:
 
 
 def check_enum_bound(b: int, limit: int | None) -> None:
-    """Refuse to enumerate b residues past `limit`, or max_enum_b() when None."""
+    """Refuse a modulus b past `limit`, or max_enum_b() when None.
+
+    The bound caps what one modulus may cost: a residue profile holds b
+    counts and takes O(b) time apart from one length-p convolution per odd
+    p | b, brute force reads such a profile, and the classical Gauss sum
+    enumerates all b residues.
+    """
     bound = limit if limit is not None else max_enum_b()
     if b > bound:
         raise EnumerationBoundError(
@@ -121,9 +127,6 @@ class FracIdeal:
     def norm(self) -> Fraction:
         return self.scale * self.scale * self.prim.a
 
-    def is_integral(self) -> bool:
-        return self.scale.denominator == 1
-
     def conjugate(self) -> FracIdeal:
         return FracIdeal(self.scale, self.prim.conjugate())
 
@@ -132,12 +135,6 @@ class FracIdeal:
         return FracIdeal(
             1 / (self.scale * self.prim.a), self.prim.conjugate()
         )
-
-    def z_basis(self) -> tuple[tuple[Fraction, QuadElem], tuple[Fraction, QuadElem]]:
-        """A Z-basis (alpha, beta), each returned as (rational scale, element)."""
-        alpha = (self.scale, QuadElem(self.disc, 2 * self.prim.a, 0))
-        beta = (self.scale, QuadElem(self.disc, self.prim.b, 1))
-        return alpha, beta
 
     def form(self) -> tuple[int, int, int]:
         return self.prim.form()
@@ -291,9 +288,10 @@ def residue_norm_profile(
     Entry r of the result is the number of (x, y) in (Z/bZ)^2 with
     Q(x, y) = r (mod b), where Q is the ideal's norm form; the counts sum
     to b^2.  By the Chinese remainder theorem the count at r is the product
-    of the counts at r mod q over the prime powers q || b.  An odd q costs
-    O(q) numpy work plus one length-q integer convolution; the 2-part is
-    enumerated pair by pair in numpy chunks, which do not affect the result.
+    of the counts at r mod q over the prime powers q || b, and each part
+    is Hensel-lifted from one count mod p (`_prime_power_counts`), so the
+    whole profile costs O(b) time and memory plus one length-p convolution
+    per odd prime p | b.  No part is enumerated pair by pair.
     """
     if b < 1:
         raise ValueError(f"modulus must be >= 1, got {b}")
@@ -303,54 +301,66 @@ def residue_norm_profile(
     if cached is not None:
         return cached
     form = ideal.prim.form()
-    residues = np.arange(b, dtype=np.int64)
     counts = np.ones(b, dtype=np.int64)  # every entry stays <= b^2
     for p, e in factorize(b):
-        q = p**e
-        part = _enumerated_counts(form, q) if p == 2 else _completed_counts(form, p, q)
-        counts *= part[residues % q]
-    profile = tuple(int(c) for c in counts)
+        counts *= np.tile(_prime_power_counts(form, p, e), b // p**e)
+    profile = tuple(counts.tolist())
     _PROFILE_CACHE[key] = profile
     return profile
 
 
-def _enumerated_counts(form: tuple[int, int, int], q: int) -> np.ndarray:
-    """Counts of Q(x, y) mod q over all q^2 pairs, in numpy chunks of rows."""
-    A, B, C = (c % q for c in form)
-    xs = np.arange(q, dtype=np.int64)
-    ax2 = (A * xs % q) * xs % q
-    cy2 = (C * xs % q) * xs % q
-    counts = np.zeros(q, dtype=np.int64)
-    chunk = max(1, 4_000_000 // q)
-    for lo in range(0, q, chunk):
-        hi = min(q, lo + chunk)
-        # intermediate products stay below q^3 <= 10^12, safely inside int64
-        bxy = (B * xs[lo:hi, None] % q) * xs[None, :] % q
-        tot = (ax2[lo:hi, None] + bxy + cy2[None, :]) % q
-        counts += np.bincount(tot.ravel(), minlength=q)
-    return counts
+def _prime_power_counts(form: tuple[int, int, int], p: int, e: int) -> np.ndarray:
+    """Counts of Q(x, y) mod p^e, lifted from the points that are smooth mod p.
 
-
-def _completed_counts(form: tuple[int, int, int], p: int, q: int) -> np.ndarray:
-    """Counts of Q(x, y) mod q = p^e for odd p, by completing the square.
-
-    A unimodular change of variables, which leaves the counts alone, makes
-    the leading coefficient A a unit mod p (the form is primitive, so p does
-    not divide B when it divides A and C).  Then 4A Q(x, y) = u^2 - D y^2
-    with u = 2Ax + By, and x -> u is a bijection mod q for each y, so the
-    count at r is the number of (u, y) with u^2 - D y^2 = 4A r (mod q).
+    A point mod p where the gradient of Q is nonzero lifts to exactly
+    p^(e-1) points mod p^e with any given value of Q.  The singular points
+    recurse: for p not dividing D only the origin is singular, and
+    x = p x', y = p y' gives Q = p^2 Q(x', y'); for p | D they form the line
+    x = -t y with t = B/(2A) mod p, and x = -t y + p z gives Q = p Q'(z, y)
+    with Q' = (A p, B - 2 A t, Q(-t, 1)/p), again of discriminant D.  The
+    levels cost O(p^e) numpy work in all.
     """
     A, B, C = form
     if A % p == 0:
+        # a unimodular change of variables, which leaves the counts alone;
+        # the form is primitive, so p does not divide B when it divides A and C
         A, B, C = (C, B, A) if C % p else (A + B + C, 2 * A + B, A)
+    ramified = (B * B - 4 * A * C) % p == 0
+    if p == 2:  # D is odd, so only the origin is singular mod 2
+        smooth = np.bincount([A % 2, C % 2, (A + B + C) % 2], minlength=2)
+    else:  # less the singular points, all with Q = 0
+        smooth = _completed_counts(A, B, C, p)
+        smooth[0] -= p if ramified else 1
+    counts = np.tile(smooth, p ** (e - 1))
+    counts *= p ** (e - 1)
+    if ramified:
+        t = B * pow(2 * A, -1, p) % p
+        inner = (A * p, B - 2 * A * t, (A * t * t - B * t + C) // p)
+        counts[::p] += p * (_prime_power_counts(inner, p, e - 1) if e > 1 else 1)
+    elif e == 1:
+        counts[0] += 1  # the origin
+    else:
+        # (x', y') mod p^(e-1) covers each pair mod p^(e-2) p^2 times
+        counts[:: p * p] += p * p * (_prime_power_counts(form, p, e - 2) if e > 2 else 1)
+    return counts
+
+
+def _completed_counts(A: int, B: int, C: int, p: int) -> np.ndarray:
+    """Counts of A x^2 + B xy + C y^2 mod an odd prime p not dividing A.
+
+    4A Q(x, y) = u^2 - D y^2 for u = 2Ax + By, and x -> u is a bijection
+    mod p for each y, so the count at r is the number of (u, y) with
+    u^2 - D y^2 = 4A r (mod p): one length-p convolution of two histograms
+    of squares.
+    """
     D = B * B - 4 * A * C
-    ys = np.arange(q, dtype=np.int64)
-    y2 = ys * ys % q
-    squares = np.bincount(y2, minlength=q)
-    scaled = np.bincount(-D % q * y2 % q, minlength=q)
+    ys = np.arange(p, dtype=np.int64)
+    y2 = ys * ys % p
+    squares = np.bincount(y2, minlength=p)
+    scaled = np.bincount(-D % p * y2 % p, minlength=p)
     conv = np.convolve(squares, scaled)
-    conv[: q - 1] += conv[q:]
-    return conv[(4 * A % q) * ys % q]
+    conv[: p - 1] += conv[p:]
+    return conv[(4 * A % p) * ys % p]
 
 
 @dataclass(frozen=True)

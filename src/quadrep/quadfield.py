@@ -8,7 +8,7 @@ conjugation, norm and trace all stay in integers.
 
 from __future__ import annotations
 
-from .arith import factorize, kronecker
+from .arith import factorize
 
 
 class Discriminant:
@@ -38,10 +38,6 @@ class Discriminant:
     def omega(self) -> int:
         return len(self.primes)
 
-    def chi(self, n: int) -> int:
-        """The quadratic character attached to D: chi_D(n) = (D|n)."""
-        return kronecker(self.D, n)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Discriminant) and self.D == other.D
 
@@ -67,15 +63,6 @@ class QuadElem:
     @classmethod
     def from_int(cls, disc: Discriminant, n: int) -> QuadElem:
         return cls(disc, 2 * n, 0)
-
-    @classmethod
-    def from_omega_coords(cls, disc: Discriminant, a: int, b: int) -> QuadElem:
-        """Element a + b*omega where omega = (1 + sqrt(D))/2."""
-        return cls(disc, 2 * a + b, b)
-
-    def omega_coords(self) -> tuple[int, int]:
-        """Coordinates (a, b) in the integral basis 1, omega."""
-        return ((self.u - self.v) // 2, self.v)
 
     def _check(self, other: QuadElem) -> None:
         if self.disc != other.disc:

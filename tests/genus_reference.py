@@ -24,6 +24,10 @@ from quadrep.ideals import (
 from quadrep.quadfield import QuadElem
 
 
+def _is_integral(ideal: FracIdeal) -> bool:
+    return ideal.scale.denominator == 1
+
+
 def ideal_valuation(ideal: FracIdeal, prime: PrimeIdeal) -> int:
     """Exponent of the prime in the ideal's factorization.
 
@@ -35,7 +39,7 @@ def ideal_valuation(ideal: FracIdeal, prime: PrimeIdeal) -> int:
     x = FracIdeal(1, ideal.prim)
     while True:
         y = x * pinv
-        if not y.is_integral():
+        if not _is_integral(y):
             return v
         x = y
         v += 1
@@ -85,7 +89,7 @@ def coprime_genus_representative(
                 continue
             lam = QuadElem(disc, 2 * ideal.prim.a * x + ideal.prim.b * y, y)
             rep = principal_ideal(lam, ideal.scale) * ideal.inverse()
-            if not rep.is_integral():
+            if not _is_integral(rep):
                 raise RepresentativeSearchError(
                     f"representative of {ideal!r} came out non-integral"
                 )

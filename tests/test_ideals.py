@@ -64,20 +64,6 @@ def test_norms():
     assert FracIdeal(Fraction(1, 5), p5.prim).norm() == Fraction(1, 5)
 
 
-def test_z_basis():
-    alpha, beta = unit_ideal(d21).z_basis()
-    assert alpha == (1, QuadElem.from_int(d21, 1))
-    assert beta == (1, omega(d21))
-    p5 = prime_above(d21, 5)[0].ideal
-    (s1, g1), (s2, g2) = p5.z_basis()
-    assert s1 == s2 == 1
-    assert g1 == QuadElem.from_int(d21, 5)
-    assert g2 == QuadElem(d21, 1, 1)  # (1 + sqrt 21)/2
-    (t1, h1), (t2, h2) = FracIdeal(3, unit_ideal(d21).prim).z_basis()
-    assert t1 == t2 == 3
-    assert h1 == QuadElem.from_int(d21, 1) and h2 == omega(d21)
-
-
 def test_mul_identity_and_inverse():
     for disc in (d5, d21, d33):
         ok = unit_ideal(disc)
@@ -114,7 +100,7 @@ def test_mul_commutative_associative():
 def test_principal_ideal_norm():
     w = omega(d5)
     assert principal_ideal(w).norm() == 1
-    x = QuadElem.from_omega_coords(d21, 5, 1)
+    x = QuadElem(d21, 11, 1)  # 5 + omega
     assert x.norm() == 25
     assert principal_ideal(x).norm() == 25
 
@@ -214,7 +200,7 @@ def test_fingerprint_pinned():
 
 
 def test_fingerprint_narrow_invariance():
-    lam = QuadElem.from_omega_coords(d21, 5, 1)
+    lam = QuadElem(d21, 11, 1)  # 5 + omega
     assert lam.norm() > 0
     p5 = prime_above(d21, 5)[0].ideal
     moved = principal_ideal(lam) * p5

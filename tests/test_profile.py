@@ -1,17 +1,20 @@
 """residue_norm_profile against full-grid enumeration.
 
-The library splits b into prime powers, completes the square at each odd
-part and enumerates only the 2-part; these tests hold every branch of that
-to the reference in profile_reference.py.
+The library splits b into prime powers and Hensel-lifts each part from one
+count mod p; these tests hold every branch of that (the 2-part, odd
+unramified and ramified p, every depth of the lifting recursion) to the
+reference in profile_reference.py.
 """
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrep import ideals
 from quadrep.arith import is_prime
 from quadrep.ideals import (
     genus_representatives,
@@ -85,8 +88,31 @@ def test_profile_two_part():
     for D in (5, 17, 21):  # 2 inert, split and inert again
         disc = Discriminant(D)
         for ideal in fixture_ideals(disc)[:3]:
-            for b in (2, 4, 8, 16, 64, 512, 1024, 12, 40, 96, 448, 1536):
+            # every 2^e up to 2^11, then mixed moduli
+            for b in tuple(2**e for e in range(1, 12)) + (12, 40, 96, 448, 1536):
                 assert residue_norm_profile(ideal, b) == reference_profile(ideal, b), (D, ideal, b)
+
+
+@pytest.mark.parametrize("D", [105, 1365])
+def test_profile_ramified_deep_lifts(D):
+    # 3, 5 and 7 all divide D: three or more levels of the singular-line recursion
+    for ideal in genus_representatives(Discriminant(D)):
+        for b in (3**5, 5**4, 7**3):
+            assert residue_norm_profile(ideal, b) == reference_profile(ideal, b), (ideal, b)
+
+
+def test_profile_memory_is_linear_in_b():
+    # a q x q grid at b = 8192 would peak near 122 MiB; O(b) work stays near 0.4 MiB
+    disc, b = Discriminant(21), 8192
+    ideals._PROFILE_CACHE.pop((disc.D, 1, 1, b), None)
+    tracemalloc.start()
+    try:
+        prof = residue_norm_profile(unit_ideal(disc), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(prof) == b * b
+    assert peak < 2 * 2**20, peak
 
 
 # Property tests: admissible D <= 2000, a genus representative or a prime

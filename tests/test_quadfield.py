@@ -1,5 +1,6 @@
 import pytest
 
+from quadrep.dirichlet import chi_table
 from quadrep.quadfield import Discriminant, QuadElem, omega, sqrt_disc
 
 from conftest import VALID_DISCS
@@ -21,10 +22,11 @@ def test_invalid_discriminants(D):
 
 def test_chi_is_the_right_character():
     disc = Discriminant(21)
-    assert disc.chi(2) == -1  # 21 = 5 mod 8
-    assert disc.chi(5) == 1
-    assert disc.chi(3) == 0
-    assert disc.chi(20) == disc.chi(-1) == 1
+    chi = chi_table(disc)  # chi_D(k) for k = 0..20
+    assert chi[2] == -1  # 21 = 5 mod 8
+    assert chi[5] == 1
+    assert chi[3] == 0
+    assert chi[20] == 1  # chi_D(-1) = 1: the field is real
 
 
 def test_omega_satisfies_its_quadratic():
@@ -58,15 +60,6 @@ def test_norm_trace_conjugate():
         assert x + x.conjugate() == QuadElem.from_int(disc, x.trace())
         assert (x * x.conjugate()).u == 2 * x.norm()
         assert (x * x.conjugate()).v == 0
-
-
-def test_omega_coords_roundtrip():
-    disc = Discriminant(13)
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            x = QuadElem.from_omega_coords(disc, a, b)
-            assert x.omega_coords() == (a, b)
-            assert x == QuadElem.from_int(disc, a) + omega(disc) * b
 
 
 def test_ring_axioms_on_samples():
