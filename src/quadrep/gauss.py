@@ -82,11 +82,10 @@ def gauss_direct(
     counts[t] is the number of lambda in ideal/(b*ideal) whose norm ratio r
     satisfies a*r = t (mod b); the profile enumeration is shared and cached.
     """
-    profile = residue_norm_profile(ideal, b, limit)
-    counts = [0] * b
-    for r, n in enumerate(profile):
-        counts[a * r % b] += n
-    return ExponentVector(b, tuple(counts))
+    profile = np.asarray(residue_norm_profile(ideal, b, limit), dtype=np.int64)
+    counts = np.zeros(b, dtype=np.int64)
+    np.add.at(counts, np.arange(b, dtype=np.int64) * (a % b) % b, profile)
+    return ExponentVector(b, tuple(counts.tolist()))
 
 
 def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue:

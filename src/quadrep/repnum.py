@@ -106,20 +106,26 @@ def rep_from_gauss_dft(
     exponent vector before any floating point: the pair (a, lambda)
     contributes to exponent s exactly when a*(r - m) = s (mod b) for the
     norm residue r of lambda, and the number of such a is gcd(r - m, b)
-    when that gcd divides s, else 0.  The final complex evaluation must
-    land within DFT_RESIDUAL_TOL of an integer.
+    when that gcd divides s, else 0.  Since b = p^beta, that gcd is p^k
+    exactly for the residues r = m (mod p^k) that are not = m (mod p^(k+1)).
+    With S_k the profile summed over the class r = m (mod p^k), so S_0 is
+    the whole profile and S_(beta+1) = 0, the weight (S_k - S_(k+1)) * p^k
+    lands on every exponent divisible by p^k.  The final complex evaluation
+    must land within DFT_RESIDUAL_TOL of an integer.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     b = p**beta
     if b == 1:
         return 1
-    profile = np.asarray(residue_norm_profile(ideal, b, limit), dtype=np.int64)
-    g = np.gcd((np.arange(b, dtype=np.int64) - m) % b, b)
+    profile = residue_norm_profile(ideal, b, limit)
     coeffs = np.zeros(b, dtype=np.int64)
-    for gv in np.unique(g):
-        weight = int(profile[g == gv].sum()) * int(gv)
-        coeffs[::gv] += weight
+    above = 0  # S_(k+1)
+    for k in range(beta, -1, -1):
+        q = p**k
+        s_k = sum(profile[m % q :: q])
+        coeffs[::q] += (s_k - above) * q
+        above = s_k
     value = eval_complex(ExponentVector(b, coeffs)) / b
     n = round(value.real)
     if abs(value - n) > DFT_RESIDUAL_TOL:

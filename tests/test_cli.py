@@ -26,6 +26,17 @@ def test_repnum_all_pinned(capsys):
     assert out == '{"N": 6, "agree": true}\n'
 
 
+@pytest.mark.parametrize("m", [10**30, -(2**63) - 1])
+def test_repnum_all_past_int64(capsys, m):
+    argv = ["repnum", "--disc", "5", "--m", str(m), "--b", "9"]
+    code, out, err = run(capsys, argv + ["--method", "all"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    _, formula, _ = run(capsys, argv + ["--method", "formula"])
+    assert json.loads(formula) == {"N": payload["N"]}
+
+
 def test_sigma_all_pinned(capsys):
     code, out, _ = run(
         capsys,

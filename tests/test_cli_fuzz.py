@@ -140,6 +140,7 @@ def _wants_table(argv: list[str]) -> bool:
 @example(argv=["genus", "--disc", "5", "a\nb"])
 @example(argv=["repnum", "--disc", "x", "--m", "1", "--b", "2"])
 @example(argv=["series", "--disc", "5", "--m", "1", "--s", "3", "--B", "1000000000000000"])
+@example(argv=["repnum", "--disc", "5", "--m", "1" + "0" * 30, "--b", "9", "--method", "all"])
 def test_cli_argv_fuzz(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

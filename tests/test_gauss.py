@@ -14,7 +14,7 @@ from quadrep.gauss import (
     gauss_closed,
     gauss_direct,
 )
-from quadrep.ideals import coprime_to, prime_above, unit_ideal
+from quadrep.ideals import coprime_to, prime_above, residue_norm_profile, unit_ideal
 from quadrep.quadfield import Discriminant
 
 from conftest import fixture_ideals
@@ -71,6 +71,26 @@ def test_direct_pinned():
     w = gauss_direct(unit_ideal(d5), 2, 2)
     assert w.counts == (4, 0)
     assert abs(eval_complex(w) - 4) < 1e-12
+
+
+def gauss_direct_loop(ideal, a, b):
+    """G_b(ideal, a) by one Python step per norm residue: the oracle for gauss_direct."""
+    counts = [0] * b
+    for r, n in enumerate(residue_norm_profile(ideal, b)):
+        counts[a * r % b] += n
+    return ExponentVector(b, tuple(counts))
+
+
+@pytest.mark.parametrize(
+    "a", [0, 1, 2, 3, 5, 9, 25, 360, -1, -7, -9, 2**63, 2**63 + 5, 10**30, -(2**63) - 1]
+)
+def test_direct_matches_loop(a):
+    for disc in (d5, d21):
+        for ideal in fixture_ideals(disc):
+            for b in (1, 2, 3, 4, 5, 7, 8, 9, 12, 25, 27, 64, 360):
+                got = gauss_direct(ideal, a, b)
+                assert got == gauss_direct_loop(ideal, a, b), (ideal, a, b)
+                assert all(type(c) is int for c in got.counts)
 
 
 def test_direct_counts_sum_to_b_squared():

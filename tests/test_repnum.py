@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrep.ideals import unit_ideal
+from quadrep import repnum
+from quadrep.ideals import parse_ideal, residue_norm_profile, unit_ideal
 from quadrep.quadfield import Discriminant
 from quadrep.repnum import (
     g_rep,
@@ -13,6 +16,7 @@ from quadrep.repnum import (
 )
 
 from conftest import fixture_ideals
+from test_profile import SMALL_PRIMES, small_ideals
 
 d5 = Discriminant(5)
 d13 = Discriminant(13)
@@ -107,6 +111,75 @@ def test_dft_matches_bruteforce():
                     got = rep_from_gauss_dft(ideal, m, p, beta)
                     want = rep_count_bruteforce(ideal, m, p**beta)
                     assert got == want, (disc.D, ideal, m, p, beta)
+
+
+def dft_exponent_vector_reference(profile, m, b):
+    """counts[s] = #{(a, lambda) : a*(r - m) = s (mod b)}, r the norm residue of lambda.
+
+    Loops over every a and every residue r, as the definition reads.
+    """
+    counts = [0] * b
+    for a in range(b):
+        for r, n in enumerate(profile):
+            counts[a * (r - m) % b] += n
+    return tuple(counts)
+
+
+DFT_VECTOR_CASES = [(2, e) for e in range(1, 7)] + [(3, e) for e in range(1, 5)] + [
+    (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1),
+]
+
+
+@pytest.mark.parametrize("p, beta", DFT_VECTOR_CASES)
+def test_dft_exponent_vector_matches_pair_count(monkeypatch, p, beta):
+    # the class sums must rebuild the exact pair count, not only its DFT value
+    seen = []
+    evaluate = repnum.eval_complex
+
+    def spy(vec):
+        seen.append(tuple(int(c) for c in vec.counts))
+        return evaluate(vec)
+
+    monkeypatch.setattr(repnum, "eval_complex", spy)
+    b = p**beta
+    for ideal in (unit_ideal(d21), parse_ideal(d21, "prime:3,1")):
+        profile = residue_norm_profile(ideal, b)
+        for m in (0, 1, -1, p, p ** (beta - 1), 2 * b, 10**30, -(2**63) - 1):
+            seen.clear()
+            rep_from_gauss_dft(ideal, m, p, beta)
+            assert seen == [dft_exponent_vector_reference(profile, m, b)], (ideal, m, b)
+            assert sum(seen[0]) == b**3
+
+
+DFT_PRIME_POWERS = st.one_of(
+    st.tuples(st.just(2), st.integers(1, 11)),
+    st.tuples(st.just(3), st.integers(1, 7)),
+    st.tuples(st.just(5), st.integers(1, 5)),
+    st.tuples(st.sampled_from(SMALL_PRIMES), st.just(1)),
+)
+
+
+@st.composite
+def dft_cases(draw):
+    """A prime power and m from past int64, from 0, or from a multiple of some p^k."""
+    p, beta = draw(DFT_PRIME_POWERS)
+    k = draw(st.integers(0, beta))
+    m = draw(st.one_of(
+        st.integers(-50, 50).map(lambda c: c * p**k),
+        st.sampled_from((0, 10**30, -(10**30))),
+        st.integers(-8, 8).map(lambda j: 2**63 + j),
+        st.integers(-8, 8).map(lambda j: -(2**63) + j),
+    ))
+    return p, beta, m
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ideal=small_ideals(), case=dft_cases())
+def test_dft_property_three_routes_agree(ideal, case):
+    p, beta, m = case
+    b = p**beta
+    dft = rep_from_gauss_dft(ideal, m, p, beta)
+    assert dft == rep_count_bruteforce(ideal, m, b) == rep_count(ideal, m, b)
 
 
 def test_rep_count_validation():
