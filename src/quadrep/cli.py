@@ -36,6 +36,10 @@ from .repnum import rep_count, rep_count_bruteforce, rep_from_gauss_dft
 
 JSON_INT_LIMIT = 2**53
 
+# The largest series truncation point, from --B or the config key B: a
+# series run holds about 24 bytes per term, so 10^7 terms stay near 240 MB.
+MAX_SERIES_B = 10**7
+
 IDEAL_GRAMMAR = "ideal grammar: ok | prim:a,b | frac:num/den:a,b | prime:p,k"
 
 
@@ -66,6 +70,8 @@ class CliConfig:
         for name in ("max_enum_b", "default_b"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.default_b > MAX_SERIES_B:
+            raise ValueError(f"B must be at most {MAX_SERIES_B}, got {self.default_b}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         if self.output not in ("json", "csv", "plain"):
@@ -299,6 +305,8 @@ def _cmd_series(args, cfg: CliConfig):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
     B = _positive(args.B if args.B is not None else cfg.default_b, "--B")
+    if B > MAX_SERIES_B:
+        raise UsageError(f"--B must be at most {MAX_SERIES_B}, got {B}")
     s = _finite(args.s, "--s")
     tol = _finite(args.tol, "--tol") if args.tol is not None else cfg.tolerance
     if args.verify:
@@ -516,7 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", default="ok")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--B", type=int, default=None, help="truncation point")
+    p.add_argument(
+        "--B", type=int, default=None, help=f"truncation point, at most {MAX_SERIES_B}"
+    )
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--verify", action="store_true", help="factor-by-factor report")
     p.add_argument(

@@ -2,11 +2,12 @@
 
 series_lhs sums g_rep(ideal, m, b) b^(-s) over b <= B, with the coefficients
 built at once by a multiplicative sieve (series_coefficients) in
-O(B log log B) numpy work and O(sqrt B) Python steps.  series_rhs evaluates
-|m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) through truncated
-zeta and L sums (the m = 0 case degenerates to
-zeta(s-1) L(s-1, chi_D) / L(s, chi_D)); the L sums read chi_D off a product
-of Legendre tables (chi_table), one per ramified prime.  Both sides converge
+O(B log log B) numpy work and O(pi(sqrt B)) Python steps.  series_rhs
+evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) (the
+m = 0 case degenerates to zeta(s-1) L(s-1, chi_D) / L(s, chi_D)) from one
+vector n^(-s), n <= B, which the truncated zeta and L sums all reuse.  The
+L sums read chi_D(1..B) from one period, a product of Legendre tables
+(chi_table), one per ramified prime, tiled to length B.  Both sides converge
 for s > 2 and the identity has a simple pole at s = 2 with an explicit
 residue, a ratio of L(1, chi_D), L(2, chi_D) and the divisor sum at -1:
 residue_at_2 takes both L-values from their finite closed forms over one
@@ -101,18 +102,6 @@ def zeta_truncated(s: float, B: int) -> SeriesEval:
     return SeriesEval(value, B, B ** (1 - s) / (s - 1))
 
 
-def _zeta_estimate(s: float, B: int) -> float:
-    """Partial sum plus the integral tail.
-
-    The terms are positive and decreasing, so the tail equals the integral
-    up to B^(-s)/2; adding the bound sharpens the plain partial sum by a
-    factor of about B near s = 1, which the residue probe at s close to 2
-    relies on.
-    """
-    ev = zeta_truncated(s, B)
-    return ev.value + ev.tail_bound
-
-
 def _legendre_table(q: int) -> np.ndarray:
     """(k | q) for k = 0..q-1 at an odd prime q, as int8, from the squares mod q."""
     table = np.full(q, -1, dtype=np.int8)
@@ -135,6 +124,12 @@ def chi_table(disc: Discriminant, n: int | None = None) -> np.ndarray:
     for q in disc.primes:
         chi *= np.tile(_legendre_table(q), -(-n // q))[:n]
     return chi
+
+
+def _chi_upto(disc: Discriminant, B: int) -> np.ndarray:
+    """chi_D(n) for n = 0..B as int8: one period from chi_table, tiled."""
+    period = chi_table(disc, B + 1)
+    return np.tile(period, -(-(B + 1) // period.size))[: B + 1]
 
 
 def _l1_closed(chi: np.ndarray) -> float:
@@ -177,20 +172,20 @@ def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
     """Partial sum of L(s, chi_D); Abel summation bounds the tail by D * B^(-s).
 
     The character's partial sums are bounded by its period D, which covers
-    every s > 0.  series_rhs calls it at s > 1, and residue_at_2 at s = 1
-    and 2 only when D > B, where the bound at s = 1, D/B, exceeds 1 and
-    certifies nothing.  No tail is added back here: the signed tail
-    oscillates around zero, so the partial sum is already the best
-    estimate.  Only the min(D, B + 1) table entries the sum reads are built.
+    every s > 0.  residue_at_2 calls it at s = 1 and 2 only when D > B,
+    where the bound at s = 1, D/B, exceeds 1 and certifies nothing.  No
+    tail is added back here: the signed tail oscillates around zero, so the
+    partial sum is already the best estimate.  chi_table builds only the
+    min(D, B + 1) entries of one period, tiled to length B + 1.
     """
     if not s > 0:
         raise ValueError(f"L truncation needs s > 0, got {s}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    table = chi_table(disc, B + 1)
-    ns = np.arange(1, B + 1, dtype=np.int64)
-    value = float(np.sum(table[ns % disc.D] * ns.astype(np.float64) ** (-s)))
-    return SeriesEval(value, B, disc.D * float(B) ** (-s))
+    terms = np.arange(1, B + 1, dtype=np.float64)
+    terms **= -s
+    terms *= _chi_upto(disc, B)[1:]
+    return SeriesEval(float(np.sum(terms)), B, disc.D * float(B) ** (-s))
 
 
 def _prime_divisors(m: int, primes: np.ndarray) -> set[int]:
@@ -207,12 +202,13 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
     chi_D(p), e and whether m = 0 (unramified_count); at p | m it comes
     from rep_count_prime_power.  Primes up to sqrt(B) multiply their
     multiples one prime at a time.  A larger prime divides each b <= B at
-    most once and b has at most one of them, so those are applied by
-    cofactor: one array product per k <= sqrt(B) over every such p with
-    k p <= B.  Every entry is at most b d(b), far inside int64.
+    most once and b has at most one of them, so the multiples k p <= B of
+    distinct large primes never coincide: they are applied through one
+    flat index of them all, in chunks of about B/8 entries.  Every entry
+    is at most b d(b), far inside int64.
     """
     primes = primes_upto(B)
-    chi = chi_table(disc, B + 1)[primes % disc.D]
+    chi = _chi_upto(disc, B)[primes]
     primes, chi = primes[chi != 0], chi[chi != 0]
     divides_m = _prime_divisors(m, primes) if m else set()
 
@@ -240,9 +236,19 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
     )
     for i in np.flatnonzero(np.isin(big, list(divides_m))):
         first[i] = rep_count_prime_power(disc, int(big[i]), 1, m)
-    for k in range(1, B // int(big[0]) + 1):
-        n = int(np.searchsorted(big, B // k, side="right"))
-        counts[k * big[:n]] *= first[:n]
+    mult, step = B // big, max(B // 8, 1)
+    ends = np.cumsum(mult)
+    # a chunk may be empty when one prime's multiples outnumber B/8 (B < 64)
+    bounds = np.searchsorted(ends, np.arange(0, ends[-1] + step, step), side="right")
+    bounds = bounds.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        p, k = big[lo:hi], mult[lo:hi]
+        # p repeated k times, each run's first entry less the last multiple
+        # of the run before: the running sum steps through p, 2p, ..., kp
+        idx = np.repeat(p, k)
+        idx[np.cumsum(k[:-1])] -= k[:-1] * p[:-1]
+        np.cumsum(idx, out=idx)
+        counts[idx] *= np.repeat(first[lo:hi], k)
     return counts
 
 
@@ -336,15 +342,26 @@ def series_lhs(
 def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
     """The closed side: |m|^(-s/2) zeta(s-1) sigma(m, 1-s) / L(s, chi_D),
 
-    degenerating to zeta(s-1) L(s-1, chi_D) / L(s, chi_D) at m = 0.
+    degenerating to zeta(s-1) L(s-1, chi_D) / L(s, chi_D) at m = 0.  Their
+    partial sums over n <= B are those of n w, chi w and chi n w, w = n^(-s).
     """
     if not s > 2:
         raise ValueError(f"series needs s > 2, got {s}")
-    disc = fp.disc
-    z = _zeta_estimate(s - 1, B)
-    l_s = l_truncated(disc, s, B).value
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    chi = _chi_upto(fp.disc, B)[1:]
+    n = np.arange(1, B + 1, dtype=np.float64)
+    w = np.power(n, -s)
+    n *= w
+    # n^(1-s) is positive and decreasing, so the tail past B is the integral
+    # B^(2-s)/(s-2) up to B^(1-s)/2; adding it sharpens the partial sum by a
+    # factor of about B near s = 2, which the residue probe there relies on.
+    z = float(np.sum(n)) + float(B) ** (2 - s) / (s - 2)
+    w *= chi
+    l_s = float(np.sum(w))
     if m == 0:
-        return z * l_truncated(disc, s - 1, B).value / l_s
+        n *= chi
+        return z * float(np.sum(n)) / l_s
     return abs(m) ** (-s / 2) * z * sigma_def(fp, m, 1 - s) / l_s
 
 

@@ -1,10 +1,13 @@
-"""Per-integer reference for the series_lhs coefficient sieve.
+"""Per-integer and per-formula references for the series layer.
 
-This is the loop series_lhs used before its coefficients came from a numpy
-sieve: each count is assembled from cached closed prime-power counts along
-a smallest-prime-factor walk of b.  It shares only rep_count_prime_power
-with the sieve, so the tests can require the two to agree coefficient by
-coefficient.
+coefficients_loop is the loop series_lhs used before its coefficients came
+from a numpy sieve: each count is assembled from cached closed prime-power
+counts along a smallest-prime-factor walk of b.  It shares only
+rep_count_prime_power with the sieve, so the tests can require the two to
+agree coefficient by coefficient.  l_truncated_gather and
+series_rhs_separate are the truncated L sum and the closed side as they
+were written before series_rhs shared one n^(-s) vector between its sums:
+chi_D gathered as table[n % D], and one power pass per zeta and L sum.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import math
 
 import numpy as np
 
-from quadrep.ideals import FracIdeal, genus_fingerprint
+from quadrep.dirichlet import chi_table
+from quadrep.divisor import sigma_def
+from quadrep.ideals import FracIdeal, GenusFingerprint, genus_fingerprint
+from quadrep.quadfield import Discriminant
 from quadrep.repnum import rep_count_prime_power
 
 
@@ -77,3 +83,24 @@ def partial_sum(coefficients: list[int], s: float) -> float:
         if q:
             total += q * float(b) ** (-s)
     return total
+
+
+def l_truncated_gather(disc: Discriminant, s: float, B: int) -> float:
+    """Partial sum of L(s, chi_D) to B terms, chi_D gathered mod D."""
+    table = chi_table(disc, B + 1)
+    ns = np.arange(1, B + 1, dtype=np.int64)
+    return float(np.sum(table[ns % disc.D] * ns.astype(np.float64) ** (-s)))
+
+
+def series_rhs_separate(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
+    """The closed side with a separate power pass for each truncated sum.
+
+    zeta(t) at t = s - 1 is its partial sum to B terms plus the integral
+    tail B^(1-t)/(t-1); each L sum is l_truncated_gather.
+    """
+    t = s - 1
+    z = float(np.sum(np.arange(1, B + 1, dtype=np.float64) ** (-t))) + B ** (1 - t) / (t - 1)
+    l_s = l_truncated_gather(fp.disc, s, B)
+    if m == 0:
+        return z * l_truncated_gather(fp.disc, s - 1, B) / l_s
+    return abs(m) ** (-s / 2) * z * sigma_def(fp, m, 1 - s) / l_s

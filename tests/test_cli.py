@@ -161,6 +161,41 @@ def test_non_finite_result_exits_1(capsys, monkeypatch):
         emit({"x": float("inf")}, "json", False, io.StringIO())
 
 
+def test_series_b_cap(tmp_path, capsys, monkeypatch):
+    # both edges, from --B and from the config key B; the stubs record the
+    # B they are asked for, so nothing of that size is allocated
+    import quadrep.cli as cli
+    from quadrep.dirichlet import SeriesEval
+
+    seen = []
+
+    def lhs(ideal, m, s, B, oracle=False, limit=None):
+        seen.append(B)
+        return SeriesEval(1.0, B, 0.0)
+
+    def rhs(fp, m, s, B):
+        seen.append(B)
+        return 1.0
+
+    monkeypatch.setattr(cli, "series_lhs", lhs)
+    monkeypatch.setattr(cli, "series_rhs", rhs)
+    monkeypatch.setattr(cli, "residue_at_2", lambda fp, m: 0.0)
+    argv = ["series", "--disc", "5", "--m", "1", "--s", "3"]
+    cfg = tmp_path / "quadrep.cfg"
+    for B in (cli.MAX_SERIES_B, cli.MAX_SERIES_B + 1):
+        cfg.write_text(f"B={B}\n")
+        for extra, flag in ((["--B", str(B)], "--B"), (["--config", str(cfg)], "B")):
+            seen.clear()
+            code, out, err = run(capsys, argv + extra)
+            if B == cli.MAX_SERIES_B:
+                assert code == 0, err
+                assert json.loads(out)["lhs"]["truncation"] == B
+                assert seen == [B, B]
+            else:
+                assert (code, out, seen) == (2, "", [])
+                assert err == f"error: {flag} must be at most {cli.MAX_SERIES_B}, got {B}\n"
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

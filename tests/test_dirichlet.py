@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from quadrep.repnum import g_rep, rep_count_prime_power
 
 import l_reference
 from conftest import VALID_DISCS, fixture_ideals
-from series_reference import coefficients_loop, partial_sum
+from series_reference import (
+    coefficients_loop,
+    l_truncated_gather,
+    partial_sum,
+    series_rhs_separate,
+)
 
 d5 = Discriminant(5)
 d21 = Discriminant(21)
@@ -121,6 +127,28 @@ def test_l_truncated_validation():
         l_truncated(d5, 0.0, 10)
     with pytest.raises(ValueError):
         l_truncated(d5, 2.0, 0)
+
+
+def test_l_truncated_matches_gather():
+    # the tiled period against table[n % D]: B past D, at D, one short of
+    # D (one whole period read) and well short of D
+    for D in (5, 21, 1365):
+        disc = Discriminant(D)
+        for B in (3 * D + 2, D, D - 1, D // 2):
+            for s in (1, 2, 2.25, 3.0, 4.5):
+                assert l_truncated(disc, s, B).value == l_truncated_gather(disc, s, B), (
+                    D, B, s)
+
+
+def test_series_rhs_matches_separate_sums():
+    for D in (5, 21, 1365):
+        fp = fp_unit(Discriminant(D))
+        for m in (0, 1, -3):
+            for s in (2.25, 3.0, 4.5):
+                for B in (1, 7, D, 5000):
+                    want = series_rhs_separate(fp, m, s, B)
+                    got = series_rhs(fp, m, s, B)
+                    assert abs(got - want) <= 1e-14 * abs(want), (D, m, s, B, got, want)
 
 
 def test_series_lhs_first_term():
@@ -353,6 +381,36 @@ def test_series_coefficients_match_loop_wide():
                 for B in (1, 2, 60, 1000):
                     want = coefficients_loop(ideal, m, B)
                     assert series_coefficients(ideal, m, B).tolist() == want, (D, m, B)
+
+
+def test_series_coefficients_at_split_and_chunk_edges():
+    # B on both sides of a prime square (the small/large split at sqrt(B))
+    # and sizes whose large-prime multiples fill several chunks of B/8
+    for D in (5, 21, 1365):
+        for ideal in fixture_ideals(Discriminant(D)):
+            for m in (0, 1, 30030):
+                for B in (1, 2, 3, 4, 8, 9, 10, 120, 121, 122, 961, 10**4 + 7):
+                    want = coefficients_loop(ideal, m, B)
+                    assert series_coefficients(ideal, m, B).tolist() == want, (D, m, B)
+
+
+def _peak_bytes_per_term(f, B):
+    tracemalloc.start()
+    try:
+        f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / B
+
+
+def test_series_memory_per_term():
+    # both sides read about 24 and 17 bytes per term; an unchunked flat
+    # index of the large-prime multiples would put series_lhs near 26-32
+    ideal, B = unit_ideal(d5), 10**6
+    fp = genus_fingerprint(ideal)
+    assert _peak_bytes_per_term(lambda: series_lhs(ideal, 1, 3.0, B), B) <= 25
+    assert _peak_bytes_per_term(lambda: series_rhs(fp, 1, 3.0, B), B) <= 18
 
 
 def test_series_coefficients_exact_past_int64(monkeypatch):
