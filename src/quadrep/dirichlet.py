@@ -7,11 +7,14 @@ evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) (the
 m = 0 case degenerates to zeta(s-1) L(s-1, chi_D) / L(s, chi_D)) from one
 vector n^(-s), n <= B, which the truncated zeta and L sums all reuse.  The
 L sums read chi_D(1..B) from one period, a product of Legendre tables
-(chi_table), one per ramified prime, tiled to length B.  Both sides converge
-for s > 2 and the identity has a simple pole at s = 2 with an explicit
-residue, a ratio of L(1, chi_D), L(2, chi_D) and the divisor sum at -1:
-residue_at_2 takes both L-values from their finite closed forms over one
-period of chi_D when D <= B, and from truncated sums otherwise.
+(chi_table), one per ramified prime, tiled to length B.  verify_theorem
+builds chi_D(0..B) and n^(-s) once for both sides: the sieve reads chi_D
+at the primes, the coefficient sum writes its products over the
+coefficients, and the closed side then consumes n^(-s) in place.  Both
+sides converge for s > 2 and the identity has a simple pole at s = 2 with
+an explicit residue, a ratio of L(1, chi_D), L(2, chi_D) and the divisor
+sum at -1: residue_at_2 takes both L-values from their finite closed forms
+over one period of chi_D when D <= B, and from truncated sums otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ from .quadfield import Discriminant
 from .repnum import rep_count_bruteforce, rep_count_prime_power, unramified_count
 
 DEFAULT_RESIDUE_B = 200_000
+# the large-prime index runs in chunks of max(B/8, _CHUNK) entries: one
+# chunk below B = 2^18, and about one byte per term a chunk above it
+_CHUNK = 2**15
+# elementwise passes that need a temporary run in blocks of _BLOCK
+# entries, so that the temporary stays at 32 KiB whatever B is
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,15 @@ def chi_table(disc: Discriminant, n: int | None = None) -> np.ndarray:
 def _chi_upto(disc: Discriminant, B: int) -> np.ndarray:
     """chi_D(n) for n = 0..B as int8: one period from chi_table, tiled."""
     period = chi_table(disc, B + 1)
+    if period.size > B:
+        return period
     return np.tile(period, -(-(B + 1) // period.size))[: B + 1]
+
+
+def _powers(s: float, B: int) -> np.ndarray:
+    """n^(-s) for n = 1..B as float64."""
+    w = np.arange(1, B + 1, dtype=np.float64)
+    return np.power(w, -s, out=w)
 
 
 def _l1_closed(chi: np.ndarray) -> float:
@@ -144,7 +161,10 @@ def _l1_closed(chi: np.ndarray) -> float:
     """
     D = chi.size
     half = (D + 1) // 2
-    logs = np.log(np.sin(np.arange(1, half) * (math.pi / D)))
+    logs = np.arange(1, half, dtype=np.float64)
+    logs *= math.pi / D
+    np.sin(logs, out=logs)
+    np.log(logs, out=logs)
     logs *= chi[1:half]
     return -2.0 * float(np.sum(logs)) / math.sqrt(D)
 
@@ -153,18 +173,17 @@ def _l2_closed(chi: np.ndarray) -> float:
     """L(2, chi_D) = pi^2 D^(-5/2) sum over 0 < a < D of chi(a) a^2.
 
     `chi` is one full period of chi_D (Washington, Introduction to
-    Cyclotomic Fields, 4.1).  The integer sum is exact: int64 dot products
-    over blocks short enough that no partial sum reaches 2^63, added as
-    Python ints; below D of about 2 * 10^6 that is a single block.
+    Cyclotomic Fields, 4.1).  The integer sum is exact: the terms chi(a) a^2
+    are formed in one int64 buffer and summed over blocks short enough that
+    no partial sum reaches 2^63, added as Python ints; below D of about
+    2 * 10^6 that is a single block.
     """
     D = chi.size
-    a = np.arange(D, dtype=np.int64)
-    squares, weights = a * a, chi.astype(np.int64)
+    terms = np.arange(D, dtype=np.int64)
+    terms *= terms
+    terms *= chi
     step = (2**63 - 1) // (D * D)
-    total = sum(
-        int(np.dot(weights[i : i + step], squares[i : i + step]))
-        for i in range(0, D, step)
-    )
+    total = sum(int(np.sum(terms[i : i + step])) for i in range(0, D, step))
     return math.pi**2 * total / (D * D * math.sqrt(D))
 
 
@@ -195,20 +214,38 @@ def _prime_divisors(m: int, primes: np.ndarray) -> set[int]:
     return set(primes[residues == 0].tolist())
 
 
-def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
-    """Product of the closed counts at p^e || b over unramified p, b = 0..B.
+def _by_valuation(out: np.ndarray, p: int, values: list[int]) -> np.ndarray:
+    """Fill out[k - 1] with values[val_p(k)] for k = 1..out.size; return out.
 
-    Away from the primes dividing m the count at p^e depends only on
-    chi_D(p), e and whether m = 0 (unramified_count); at p | m it comes
-    from rep_count_prime_power.  Primes up to sqrt(B) multiply their
-    multiples one prime at a time.  A larger prime divides each b <= B at
-    most once and b has at most one of them, so the multiples k p <= B of
-    distinct large primes never coincide: they are applied through one
-    flat index of them all, in chunks of about B/8 entries.  Every entry
-    is at most b d(b), far inside int64.
+    As val_p(k p) = val_p(k) + 1, values[e - 1] = the count at p^e puts the
+    count at p^e || b in entry k - 1 for every multiple b = k p.
+    """
+    out[:] = values[0]
+    pe = p
+    for v in values[1:]:
+        out[pe - 1 :: pe] = v
+        pe *= p
+    return out
+
+
+def _unramified_product(
+    disc: Discriminant, m: int, B: int, chi: np.ndarray, fill: int
+) -> np.ndarray:
+    """fill times the closed counts at p^e || b over unramified p, b = 0..B.
+
+    `chi` holds chi_D(0..B).  Away from the primes dividing m the count at
+    p^e depends only on chi_D(p), e and whether m = 0 (unramified_count);
+    at p | m it comes from rep_count_prime_power.  Primes up to sqrt(B)
+    multiply their multiples one prime at a time.  A larger prime divides
+    each b <= B at most once and b has at most one of them, so the
+    multiples k p <= B of distinct large primes never coincide: they are
+    applied through one flat index of them all, in chunks of about
+    max(B/8, 2^15) entries, so B < 2^18 takes a single chunk.  Every
+    product is at most b d(b), far inside int64; the caller keeps fill
+    times that inside it too.
     """
     primes = primes_upto(B)
-    chi = _chi_upto(disc, B)[primes]
+    chi = chi[primes]
     primes, chi = primes[chi != 0], chi[chi != 0]
     divides_m = _prime_divisors(m, primes) if m else set()
 
@@ -217,16 +254,18 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
             return rep_count_prime_power(disc, p, e, m)
         return unramified_count(c, p, e, e if m == 0 else 0)
 
-    counts = np.ones(B + 1, dtype=np.int64)
-    n_small = int(np.searchsorted(primes, math.isqrt(B), side="right"))
+    counts = np.full(B + 1, fill, dtype=np.int64)
+    root = math.isqrt(B)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    # one buffer holds each small prime's counts at its multiples in turn
+    buf = np.empty(B // 2, dtype=np.int64)
     for p, c in zip(primes[:n_small].tolist(), chi[:n_small].tolist()):
-        # entry k - 1 stands for b = k p; p^e divides b iff p^(e-1) divides k
-        local = np.full(B // p, count(p, c, 1), dtype=np.int64)
-        pe, e = p, 2
-        while pe * p <= B:
-            local[pe - 1 :: pe] = count(p, c, e)
-            pe, e = pe * p, e + 1
-        counts[p::p] *= local
+        values, pe = [], p
+        while pe <= B:
+            values.append(count(p, c, len(values) + 1))
+            pe *= p
+        counts[p::p] *= _by_valuation(buf[: B // p], p, values)
+    del buf  # room for the large-prime index
     big, big_chi = primes[n_small:], chi[n_small:]
     if not big.size:
         return counts
@@ -234,20 +273,21 @@ def _unramified_product(disc: Discriminant, m: int, B: int) -> np.ndarray:
     first = np.where(
         big_chi == 1, unramified_count(1, big, 1, nu), unramified_count(-1, big, 1, nu)
     )
-    for i in np.flatnonzero(np.isin(big, list(divides_m))):
-        first[i] = rep_count_prime_power(disc, int(big[i]), 1, m)
-    mult, step = B // big, max(B // 8, 1)
+    for p in divides_m:
+        if p > root:
+            first[np.searchsorted(big, p)] = rep_count_prime_power(disc, p, 1, m)
+    mult, step = B // big, max(B // 8, _CHUNK)
     ends = np.cumsum(mult)
-    # a chunk may be empty when one prime's multiples outnumber B/8 (B < 64)
     bounds = np.searchsorted(ends, np.arange(0, ends[-1] + step, step), side="right")
     bounds = bounds.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
-        p, k = big[lo:hi], mult[lo:hi]
-        # p repeated k times, each run's first entry less the last multiple
-        # of the run before: the running sum steps through p, 2p, ..., kp
-        idx = np.repeat(p, k)
-        idx[np.cumsum(k[:-1])] -= k[:-1] * p[:-1]
-        np.cumsum(idx, out=idx)
+        k = mult[lo:hi]
+        # flat position less its run's start counts 1, 2, ..., k in each
+        # run; times the run's prime it steps through p, 2p, ..., kp
+        starts = ends[lo:hi] - k
+        idx = np.arange(starts[0] + 1, ends[hi - 1] + 1)
+        idx -= np.repeat(starts, k)
+        idx *= np.repeat(big[lo:hi], k)
         counts[idx] *= np.repeat(first[lo:hi], k)
     return counts
 
@@ -260,13 +300,22 @@ def series_coefficients(
     The count at modulus b*D is the product of the closed prime-power
     counts over p^e || b*D, where a ramified p enters with exponent
     val_p(b) + 1: _unramified_product builds the unramified part for every
-    b at once, and each ramified p contributes one array of its few counts
-    from rep_count_prime_power.  Where a count could pass 2^63 the
-    products are taken in exact Python integers.  Every count must be
-    divisible by D, else ConsistencyError; with oracle=True the counts for
-    b <= 60 are also cross-checked against brute-force enumeration, whose
-    moduli `limit` bounds as in residue_norm_profile.
+    b at once, starting from the product of the ramified counts at p, and
+    each ramified p then swaps in its counts at higher powers on its
+    multiples.  Where a count could pass 2^63 the products are taken in
+    exact Python integers.  Every count must be divisible by D, else
+    ConsistencyError; with oracle=True the counts for b <= 60 are also
+    cross-checked against brute-force enumeration, whose moduli `limit`
+    bounds as in residue_norm_profile.
     """
+    return _coefficients(ideal, m, B, oracle, limit, None)
+
+
+def _coefficients(
+    ideal: FracIdeal, m: int, B: int, oracle: bool, limit: int | None,
+    chi: np.ndarray | None,
+) -> np.ndarray:
+    """series_coefficients, reading chi_D(0..B) from `chi` if it is given."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     disc = ideal.disc
@@ -280,22 +329,31 @@ def series_coefficients(
             r.append(rep_count_prime_power(disc, p, len(r) + 1, m, fp.sign(p)))
             pe *= p
         ramified[p] = r
-    if all(r[0] for r in ramified.values()):
-        counts = _unramified_product(disc, m, B)
+    nonzero = all(r[0] for r in ramified.values())
+    if nonzero:
+        fill = math.prod(r[0] for r in ramified.values())
         # every closed count at p^e is at most (e + 1) p^e, and at most
         # 2 p^e when p ramifies, so a count is at most 2^omega D b d(b)
-        if 2 ** (disc.omega + 1) * D * B * (math.isqrt(B) + 1) >= 2**63:
+        exact = 2 ** (disc.omega + 1) * D * B * (math.isqrt(B) + 1) >= 2**63
+        counts = _unramified_product(
+            disc, m, B, _chi_upto(disc, B) if chi is None else chi,
+            1 if exact else fill,
+        )
+        if exact:
             counts = counts.astype(object)
+            counts *= fill
         for p, r in ramified.items():
-            factor = np.full(B + 1, r[0], dtype=np.int64)
-            for e in range(1, len(r)):
-                factor[p**e :: p**e] = r[e]
-            counts *= factor
+            if len(r) > 1:
+                # on b = k p the fill's r[0] gives way to r[val_p(b)]; r[0]
+                # divides the entry exactly, as nothing has divided it out
+                view = counts[p::p]
+                view //= r[0]
+                view *= _by_valuation(np.empty(B // p, counts.dtype), p, r[1:])
+        counts = counts[1:]
     else:
         # some ramified factor vanishes for every exponent >= 1 (the sign
         # obstruction depends only on val_p(m)), so every count is zero
-        counts = np.zeros(B + 1, dtype=np.int64)
-    counts = counts[1:]
+        counts = np.zeros(B, dtype=np.int64)
     if oracle:
         for b in range(1, min(B, 60) + 1):
             brute = rep_count_bruteforce(ideal, m, b * D, limit)
@@ -304,14 +362,30 @@ def series_coefficients(
                     f"closed count {counts[b - 1]} != enumeration {brute} "
                     f"at modulus {b}*{D}"
                 )
-    bad = np.flatnonzero(counts % D)
+    if not nonzero:
+        return counts
+    # divisibility by floor division, multiplied back a block at a time:
+    # counts is left holding each count mod D, in place of a remainder array
+    g = counts // D
+    for i in range(0, B, _BLOCK):
+        j = i + _BLOCK
+        counts[i:j] -= g[i:j] * D
+    bad = np.flatnonzero(counts)
     if bad.size:
         b = int(bad[0]) + 1
         raise ConsistencyError(
-            f"count {counts[b - 1]} at modulus {b}*{D} is not divisible by {D}"
+            f"count {g[b - 1] * D + counts[b - 1]} at modulus {b}*{D} "
+            f"is not divisible by {D}"
         )
-    counts //= D
-    return counts.astype(np.int64, copy=False)
+    return g.astype(np.int64, copy=False)
+
+
+def _check_series_args(s: float, B: int) -> None:
+    """The domain of both sides: s > 2 and B >= 1."""
+    if not s > 2:
+        raise ValueError(f"series needs s > 2, got {s}")
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
 
 
 def series_lhs(
@@ -325,17 +399,29 @@ def series_lhs(
     b <= 60 are cross-checked against brute-force enumeration (moduli
     bounded by `limit`) and any disagreement raises ConsistencyError.
     """
-    if not s > 2:
-        raise ValueError(f"series needs s > 2, got {s}")
+    _check_series_args(s, B)
     g = series_coefficients(ideal, m, B, oracle, limit)
+    return _lhs_sum(ideal.disc.omega, g, s, B, None)
+
+
+def _lhs_sum(
+    omega: int, g: np.ndarray, s: float, B: int, w: np.ndarray | None
+) -> SeriesEval:
+    """The partial sum of g(b) w(b), w = n^(-s) (built here if None).
+
+    The products are written into g's buffer, so g is consumed and w kept.
+    """
     if not g[0]:
         # g(1) vanishes only with a ramified factor, and then every term does
         return SeriesEval(0.0, B, 0.0)
-    omega = ideal.disc.omega
     tail = 4 * 2**omega * float(B) ** (2 - s) * (1 + math.log(B)) / (s - 2)
-    terms = np.arange(1, B + 1, dtype=np.float64)
-    np.power(terms, -s, out=terms)
-    terms *= g
+    w = _powers(s, B) if w is None else w
+    # numpy copies an input that overlaps the output under another dtype,
+    # so the int64 g is turned into float64 products a block at a time
+    terms = g.view(np.float64)
+    for i in range(0, B, _BLOCK):
+        j = i + _BLOCK
+        np.multiply(w[i:j], g[i:j], out=terms[i:j])
     return SeriesEval(float(np.sum(terms)), B, tail)
 
 
@@ -344,14 +430,25 @@ def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
 
     degenerating to zeta(s-1) L(s-1, chi_D) / L(s, chi_D) at m = 0.  Their
     partial sums over n <= B are those of n w, chi w and chi n w, w = n^(-s).
+    When the divisor sum vanishes the side is 0.0 and no sum is formed.
     """
-    if not s > 2:
-        raise ValueError(f"series needs s > 2, got {s}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    chi = _chi_upto(fp.disc, B)[1:]
+    _check_series_args(s, B)
+    sigma = sigma_def(fp, m, 1 - s) if m else None
+    if sigma == 0.0:
+        return 0.0
     n = np.arange(1, B + 1, dtype=np.float64)
-    w = np.power(n, -s)
+    return _rhs_sum(_chi_upto(fp.disc, B), n, np.power(n, -s), m, sigma, s, B)
+
+
+def _rhs_sum(
+    chi: np.ndarray, n: np.ndarray, w: np.ndarray,
+    m: int, sigma: float | None, s: float, B: int,
+) -> float:
+    """series_rhs from chi = chi_D(0..B), n = 1..B, w = n^(-s), sigma(m, 1-s).
+
+    n and w are consumed: they end up holding n w (chi n w at m = 0) and chi w.
+    """
+    chi = chi[1:]
     n *= w
     # n^(1-s) is positive and decreasing, so the tail past B is the integral
     # B^(2-s)/(s-2) up to B^(1-s)/2; adding it sharpens the partial sum by a
@@ -362,7 +459,7 @@ def series_rhs(fp: GenusFingerprint, m: int, s: float, B: int) -> float:
     if m == 0:
         n *= chi
         return z * float(np.sum(n)) / l_s
-    return abs(m) ** (-s / 2) * z * sigma_def(fp, m, 1 - s) / l_s
+    return abs(m) ** (-s / 2) * z * sigma / l_s
 
 
 def residue_at_2(fp: GenusFingerprint, m: int, B: int = DEFAULT_RESIDUE_B) -> float:
@@ -419,10 +516,22 @@ def verify_theorem(
     the matching local factor of the closed side, assembled independently
     from the divisor sum's factors at the reflected argument 1 - s.
     """
+    _check_series_args(s, B)
     disc = ideal.disc
     fp = genus_fingerprint(ideal)
-    lhs = series_lhs(ideal, m, s, B)
-    rhs = series_rhs(fp, m, s, B)
+    # series_lhs and series_rhs, with one chi_D(0..B) for the sieve and the
+    # L sums and one w = n^(-s) that the coefficient sum reads and the
+    # closed side then consumes; a vanishing divisor sum needs neither
+    sigma = sigma_def(fp, m, 1 - s) if m else None
+    summed = sigma != 0.0
+    chi = _chi_upto(disc, B) if summed else None
+    g = _coefficients(ideal, m, B, False, None, chi)
+    w = _powers(s, B) if summed else None
+    lhs = _lhs_sum(disc.omega, g, s, B, w)
+    del g  # the products in its buffer are summed: room for the closed side
+    rhs = 0.0
+    if summed:
+        rhs = _rhs_sum(chi, np.arange(1, B + 1, dtype=np.float64), w, m, sigma, s, B)
     factors = []
     for p in primes_upto(50).tolist():
         q = float(p) ** (1 - s)

@@ -320,6 +320,57 @@ def test_verify_theorem_vanishing_case():
     assert rep.lhs.value == 0.0 and rep.rhs == 0.0
 
 
+def _vanishing_m(fp):
+    return next(m for m in range(2, 500) if sigma_def(fp, m, -1.0) == 0.0)
+
+
+def test_verify_theorem_shares_arrays(monkeypatch):
+    # verify_theorem builds chi_D and n^(-s) once for both sides; its values
+    # must be those of the standalone sides, bit for bit
+    calls = []
+
+    def counted(disc, n=None):
+        calls.append(n)
+        return chi_table(disc, n)
+
+    monkeypatch.setattr(dirichlet, "chi_table", counted)
+    for D in (5, 21, 1365):
+        ideal = unit_ideal(Discriminant(D))
+        fp = genus_fingerprint(ideal)
+        vanishing = _vanishing_m(fp)
+        for m in (0, 1, 30030, vanishing):
+            for B in (1, 60, 10**4 + 7):
+                calls.clear()
+                rep = verify_theorem(ideal, m, 3.0, B)
+                assert len(calls) == (0 if m == vanishing else 1), (D, m, B)
+                assert rep.lhs == series_lhs(ideal, m, 3.0, B), (D, m, B)
+                assert rep.rhs == series_rhs(fp, m, 3.0, B), (D, m, B)
+
+
+def test_vanishing_divisor_sum_builds_no_array(monkeypatch):
+    def refuse(disc, B):
+        raise AssertionError("chi_D built for a vanishing divisor sum")
+
+    monkeypatch.setattr(dirichlet, "_chi_upto", refuse)
+    for D in (5, 21, 1365):
+        ideal = unit_ideal(Discriminant(D))
+        fp = genus_fingerprint(ideal)
+        m = _vanishing_m(fp)
+        assert series_rhs(fp, m, 3.0, 10**4) == 0.0
+        rep = verify_theorem(ideal, m, 3.0, 10**4)
+        assert rep.lhs.value == 0.0 and rep.rhs == 0.0
+
+
+def test_all_zero_path_still_runs_the_oracle(monkeypatch):
+    # the zero counts skip the divisibility check, not the brute-force one
+    ideal = unit_ideal(d5)
+    m = _vanishing_m(genus_fingerprint(ideal))
+    assert not series_coefficients(ideal, m, 50, oracle=True).any()
+    monkeypatch.setattr(dirichlet, "rep_count_bruteforce", lambda *args: 1)
+    with pytest.raises(ConsistencyError, match="enumeration"):
+        series_coefficients(ideal, m, 50, oracle=True)
+
+
 def test_chi_table_matches_kronecker():
     for D in range(5, 2001, 4):
         try:
@@ -384,14 +435,34 @@ def test_series_coefficients_match_loop_wide():
 
 
 def test_series_coefficients_at_split_and_chunk_edges():
-    # B on both sides of a prime square (the small/large split at sqrt(B))
-    # and sizes whose large-prime multiples fill several chunks of B/8
+    # B on both sides of a prime square (the small/large split at sqrt(B));
+    # the large-prime multiples of each B fill one chunk (the next test
+    # splits them)
     for D in (5, 21, 1365):
         for ideal in fixture_ideals(Discriminant(D)):
             for m in (0, 1, 30030):
                 for B in (1, 2, 3, 4, 8, 9, 10, 120, 121, 122, 961, 10**4 + 7):
                     want = coefficients_loop(ideal, m, B)
                     assert series_coefficients(ideal, m, B).tolist() == want, (D, m, B)
+
+
+def test_series_in_small_blocks(monkeypatch):
+    # 16-entry chunks and blocks split the large-prime index into chunks of
+    # B/8, as B >= 2^18 does by default, and the elementwise passes into
+    # many blocks
+    want = {}
+    for B in (121, 961, 10**4 + 7):
+        for m in (0, 1, 30030):
+            for D in (5, 1365):
+                ideal = unit_ideal(Discriminant(D))
+                lhs = series_lhs(ideal, m, 3.0, B)
+                want[D, m, B] = (coefficients_loop(ideal, m, B), lhs)
+    monkeypatch.setattr(dirichlet, "_CHUNK", 16)
+    monkeypatch.setattr(dirichlet, "_BLOCK", 16)
+    for (D, m, B), (coeffs, lhs) in want.items():
+        ideal = unit_ideal(Discriminant(D))
+        assert series_coefficients(ideal, m, B).tolist() == coeffs, (D, m, B)
+        assert series_lhs(ideal, m, 3.0, B) == lhs, (D, m, B)
 
 
 def _peak_bytes_per_term(f, B):
@@ -405,12 +476,15 @@ def _peak_bytes_per_term(f, B):
 
 
 def test_series_memory_per_term():
-    # both sides read about 24 and 17 bytes per term; an unchunked flat
-    # index of the large-prime multiples would put series_lhs near 26-32
+    # series_lhs, series_rhs and verify_theorem read about 16.0, 17.1 and
+    # 17.1 bytes per term; holding the coefficients next to n^(-s) and a
+    # third B-length array, as a product into a fresh array does, reads 24
     ideal, B = unit_ideal(d5), 10**6
     fp = genus_fingerprint(ideal)
-    assert _peak_bytes_per_term(lambda: series_lhs(ideal, 1, 3.0, B), B) <= 25
+    assert _peak_bytes_per_term(lambda: series_lhs(ideal, 1, 3.0, B), B) <= 17.1
     assert _peak_bytes_per_term(lambda: series_rhs(fp, 1, 3.0, B), B) <= 18
+    for m in (0, 1):
+        assert _peak_bytes_per_term(lambda: verify_theorem(ideal, m, 3.0, B), B) <= 24
 
 
 def test_series_coefficients_exact_past_int64(monkeypatch):
