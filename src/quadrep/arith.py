@@ -29,6 +29,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite with no prime factor <= 37 is >= 41^2
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -2,7 +2,9 @@
 
 series_lhs sums g_rep(ideal, m, b) b^(-s) over b <= B, with the coefficients
 built at once by a multiplicative sieve (series_coefficients) in
-O(B log log B) numpy work and O(pi(sqrt B)) Python steps.  series_rhs
+O(B log log B) numpy work and O(pi(sqrt B)) Python steps.  Each ramified
+count at p^(e+1) is divided by p as it is computed, so D leaves the counts
+prime by prime and the sieve's int64 array holds g itself.  series_rhs
 evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) (the
 m = 0 case degenerates to zeta(s-1) L(s-1, chi_D) / L(s, chi_D)) from one
 vector n^(-s), n <= B, which the truncated zeta and L sums all reuse.  The
@@ -241,8 +243,8 @@ def _unramified_product(
     multiples k p <= B of distinct large primes never coincide: they are
     applied through one flat index of them all, in chunks of about
     max(B/8, 2^15) entries, so B < 2^18 takes a single chunk.  Every
-    product is at most b d(b), far inside int64; the caller keeps fill
-    times that inside it too.
+    product is at most b d(b); the caller's bound on B keeps fill times
+    that inside int64.
     """
     primes = primes_upto(B)
     chi = chi[primes]
@@ -299,14 +301,15 @@ def series_coefficients(
 
     The count at modulus b*D is the product of the closed prime-power
     counts over p^e || b*D, where a ramified p enters with exponent
-    val_p(b) + 1: _unramified_product builds the unramified part for every
-    b at once, starting from the product of the ramified counts at p, and
-    each ramified p then swaps in its counts at higher powers on its
-    multiples.  Where a count could pass 2^63 the products are taken in
-    exact Python integers.  Every count must be divisible by D, else
-    ConsistencyError; with oracle=True the counts for b <= 60 are also
-    cross-checked against brute-force enumeration, whose moduli `limit`
-    bounds as in residue_norm_profile.
+    val_p(b) + 1.  D is squarefree, so g(b) is that product with each
+    ramified count divided by its p: every ramified count must be
+    divisible by p, else ConsistencyError.  _unramified_product builds the
+    unramified part for every b at once, starting from the product of the
+    ramified quotients at p, and each ramified p then swaps in its
+    quotients at higher powers on its multiples.  g(b) < 2^(omega+1)
+    B^(3/2), and a B that could pass 2^63 is a ValueError.  With
+    oracle=True, D g(b) for b <= 60 is cross-checked against brute-force
+    enumeration, whose moduli `limit` bounds as in residue_norm_profile.
     """
     return _coefficients(ideal, m, B, oracle, limit, None)
 
@@ -319,65 +322,54 @@ def _coefficients(
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     disc = ideal.disc
-    D = disc.D
+    # a closed count at p^e is at most (e + 1) p^e, and at most 2 p^e when p
+    # ramifies, so g(b) <= 2^omega b d(b) < 2^(omega+1) B^(3/2) bounds every
+    # product the sieve forms
+    if 2 ** (disc.omega + 1) * B * (math.isqrt(B) + 1) >= 2**63:
+        raise ValueError(f"B = {B} could take a coefficient past int64")
     fp = genus_fingerprint(ideal)
-    # ramified p: the counts at p^(e+1) for every e = val_p(b) with p^e <= B
+    # ramified p: the counts at p^(e+1) for every e = val_p(b) with p^e <= B,
+    # divided by p, so that their products over p | D are divided by D
     ramified = {}
     for p in disc.primes:
         r, pe = [], 1
         while pe <= B:
-            r.append(rep_count_prime_power(disc, p, len(r) + 1, m, fp.sign(p)))
+            count = rep_count_prime_power(disc, p, len(r) + 1, m, fp.sign(p))
+            if count % p:
+                raise ConsistencyError(
+                    f"closed count {count} at {p}^{len(r) + 1} is not divisible by {p}"
+                )
+            r.append(count // p)
             pe *= p
         ramified[p] = r
     nonzero = all(r[0] for r in ramified.values())
     if nonzero:
-        fill = math.prod(r[0] for r in ramified.values())
-        # every closed count at p^e is at most (e + 1) p^e, and at most
-        # 2 p^e when p ramifies, so a count is at most 2^omega D b d(b)
-        exact = 2 ** (disc.omega + 1) * D * B * (math.isqrt(B) + 1) >= 2**63
-        counts = _unramified_product(
+        g = _unramified_product(
             disc, m, B, _chi_upto(disc, B) if chi is None else chi,
-            1 if exact else fill,
+            math.prod(r[0] for r in ramified.values()),
         )
-        if exact:
-            counts = counts.astype(object)
-            counts *= fill
         for p, r in ramified.items():
             if len(r) > 1:
                 # on b = k p the fill's r[0] gives way to r[val_p(b)]; r[0]
                 # divides the entry exactly, as nothing has divided it out
-                view = counts[p::p]
+                view = g[p::p]
                 view //= r[0]
-                view *= _by_valuation(np.empty(B // p, counts.dtype), p, r[1:])
-        counts = counts[1:]
+                view *= _by_valuation(np.empty(B // p, np.int64), p, r[1:])
+        g = g[1:]
     else:
         # some ramified factor vanishes for every exponent >= 1 (the sign
-        # obstruction depends only on val_p(m)), so every count is zero
-        counts = np.zeros(B, dtype=np.int64)
+        # obstruction depends only on val_p(m)), so every coefficient is zero
+        g = np.zeros(B, dtype=np.int64)
     if oracle:
+        D = disc.D
         for b in range(1, min(B, 60) + 1):
             brute = rep_count_bruteforce(ideal, m, b * D, limit)
-            if brute != counts[b - 1]:
+            count = D * int(g[b - 1])
+            if brute != count:
                 raise ConsistencyError(
-                    f"closed count {counts[b - 1]} != enumeration {brute} "
-                    f"at modulus {b}*{D}"
+                    f"closed count {count} != enumeration {brute} at modulus {b}*{D}"
                 )
-    if not nonzero:
-        return counts
-    # divisibility by floor division, multiplied back a block at a time:
-    # counts is left holding each count mod D, in place of a remainder array
-    g = counts // D
-    for i in range(0, B, _BLOCK):
-        j = i + _BLOCK
-        counts[i:j] -= g[i:j] * D
-    bad = np.flatnonzero(counts)
-    if bad.size:
-        b = int(bad[0]) + 1
-        raise ConsistencyError(
-            f"count {g[b - 1] * D + counts[b - 1]} at modulus {b}*{D} "
-            f"is not divisible by {D}"
-        )
-    return g.astype(np.int64, copy=False)
+    return g
 
 
 def _check_series_args(s: float, B: int) -> None:
@@ -512,9 +504,12 @@ def verify_theorem(
     """Compare both sides of the series identity, globally and factor by factor.
 
     The global check is |lhs - rhs| <= tol * max(1, |rhs|).  For each prime
-    p <= 50 the Euler factor of the representation series is compared against
-    the matching local factor of the closed side, assembled independently
-    from the divisor sum's factors at the reflected argument 1 - s.
+    p <= 50, euler_factor_* is compared with the closed side's local factor,
+    _zeta_l_factor times the divisor sum's factor at 1 - s.  Both sides share
+    _zeta_l_factor and, at a ramified p, evaluate the same
+    (1 + ramified_sign q^nu)/(1 - q), q = p^(1-s); what the check compares
+    is, at an unramified p with m != 0, the closed geometric sum in
+    euler_factor_unramified with sigma_factor_unramified's term-by-term sum.
     """
     _check_series_args(s, B)
     disc = ideal.disc

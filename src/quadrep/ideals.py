@@ -30,6 +30,7 @@ from .errors import EnumerationBoundError, RepresentativeSearchError
 from .quadfield import Discriminant, QuadElem, omega
 
 DEFAULT_MAX_ENUM_B = 10_000
+_GENUS_PRIME_BOUND = 2000
 
 
 def max_enum_b(default: int = DEFAULT_MAX_ENUM_B) -> int:
@@ -430,17 +431,18 @@ def genus_fingerprint(ideal: FracIdeal) -> GenusFingerprint:
     return fp
 
 
-def genus_representatives(disc: Discriminant, prime_bound: int = 2000) -> list[FracIdeal]:
+def genus_representatives(disc: Discriminant) -> list[FracIdeal]:
     """One integral ideal per genus, the unit ideal first.
 
-    Walks split primes in increasing order until all 2^(omega-1) fingerprints
-    are seen.  Deterministic for a fixed discriminant.
+    Walks split primes below _GENUS_PRIME_BOUND in increasing order until
+    all 2^(omega-1) fingerprints are seen.  Deterministic for a fixed
+    discriminant.
     """
     want = 2 ** (disc.omega - 1)
     reps: dict[tuple[int, ...], FracIdeal] = {}
     one = unit_ideal(disc)
     reps[genus_fingerprint(one).signs] = one
-    for p in primes_upto(prime_bound).tolist():
+    for p in primes_upto(_GENUS_PRIME_BOUND).tolist():
         if len(reps) == want:
             break
         if kronecker(disc.D, p) != 1:
@@ -451,7 +453,8 @@ def genus_representatives(disc: Discriminant, prime_bound: int = 2000) -> list[F
             reps[fp] = cand
     if len(reps) != want:
         raise RepresentativeSearchError(
-            f"found {len(reps)} of {want} genera below {prime_bound} for D = {disc.D}"
+            f"found {len(reps)} of {want} genera below {_GENUS_PRIME_BOUND} "
+            f"for D = {disc.D}"
         )
     return list(reps.values())
 

@@ -71,9 +71,11 @@ def test_eps_values():
 
 
 def test_is_prime():
-    small = {p for p in range(2, 200) if all(p % q for q in range(2, p))}
-    for n in range(-5, 200):
-        assert is_prime(n) == (n in small)
+    # past the witnesses' trial division, n < 41^2 is prime at once; the
+    # range holds the composites 37^2 = 1369 and 41^2 = 1681 on either side
+    small = set(primes_upto(1999).tolist())
+    for n in range(-5, 2000):
+        assert is_prime(n) == (n in small), n
     assert is_prime(561) is False  # Carmichael
     assert is_prime(2**61 - 1) is True
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadrep.dirichlet as dirichlet
 import quadrep.ideals as ideals
@@ -488,10 +490,10 @@ def test_series_memory_per_term():
 
 
 def test_series_coefficients_exact_past_int64(monkeypatch):
-    # D has eight prime factors, so the a-priori bound sends B = 3000 to
-    # exact Python integers.  Scaling every ramified count by 4 multiplies
-    # each coefficient by 4^8 and pushes the counts (D times the
-    # coefficient) past 2^63, where int64 products would wrap.
+    # D has eight prime factors.  Scaling every ramified count by 4
+    # multiplies each coefficient by 4^8 and pushes the counts (D times the
+    # coefficient) past 2^63, where int64 products would wrap; the sieve
+    # divides each ramified count by its prime first, so it never forms them.
     D = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
     ideal = unit_ideal(Discriminant(D))
     B = 3000
@@ -526,6 +528,61 @@ def test_series_coefficients_checks(monkeypatch):
     assert wrong[1] == 2 * g_rep(ideal, 4, 2)
     with pytest.raises(ConsistencyError, match="enumeration"):
         series_coefficients(ideal, 4, 50, oracle=True)
+
+
+def test_ramified_count_not_divisible_past_the_first_power(monkeypatch):
+    # the counts at 3 and 7 stay divisible; only 3^2 and above are broken
+    ideal = unit_ideal(d21)
+
+    def broken(disc, p, beta, m, na_sign=None):
+        return rep_count_prime_power(disc, p, beta, m, na_sign) + (p == 3 and beta >= 2)
+
+    monkeypatch.setattr(dirichlet, "rep_count_prime_power", broken)
+    for oracle in (False, True):
+        with pytest.raises(ConsistencyError, match=r"3\^2 is not divisible"):
+            series_coefficients(ideal, 1, 50, oracle=oracle)
+
+
+def test_series_coefficients_bound_before_allocation():
+    # 2^(omega+1) B^(3/2) passes 2^63 at B = 2^42 for D = 5; the guard
+    # raises before the ramified counts or any array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="int64"):
+            series_coefficients(unit_ideal(d5), 1, 2**42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+PROPERTY_DISCS = (5, 21, 105, 1365, 3005)
+_REPRESENTATIVES = {D: genus_representatives(Discriminant(D)) for D in PROPERTY_DISCS}
+
+
+@st.composite
+def sieve_cases(draw):
+    D = draw(st.sampled_from(PROPERTY_DISCS))
+    ideal = draw(st.sampled_from(_REPRESENTATIVES[D]))
+    m = draw(
+        st.one_of(
+            st.integers(-60, 60),
+            st.builds(
+                lambda p, k: p * k,
+                st.sampled_from(ideal.disc.primes),
+                st.integers(-60, 60),
+            ),
+            st.just(2**63 + 5),
+        )
+    )
+    return ideal, m, draw(st.integers(1, 700))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=sieve_cases())
+def test_series_coefficients_property(case):
+    ideal, m, B = case
+    assert series_coefficients(ideal, m, B).tolist() == coefficients_loop(ideal, m, B)
 
 
 def test_non_finite_s_rejected():
