@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,7 +18,13 @@ from fractions import Fraction
 
 from .arith import factorize
 from .divisor import sigma_decomp, sigma_def, sigma_euler
-from .dirichlet import residue_at_2, series_lhs, series_rhs, verify_theorem
+from .dirichlet import (
+    check_coefficients,
+    residue_at_2,
+    series_lhs,
+    series_rhs,
+    verify_theorem,
+)
 from .errors import ConsistencyError, QuadrepError
 from .gauss import classical_gauss, eval_complex, gauss_closed, gauss_direct
 from .ideals import (
@@ -26,7 +33,6 @@ from .ideals import (
     format_ideal,
     genus_fingerprint,
     genus_representatives,
-    max_enum_b,
     parse_ideal,
     prime_above,
     unit_ideal,
@@ -114,12 +120,18 @@ def load_config(path: str) -> dict:
 
 def _build_config(args: argparse.Namespace) -> CliConfig:
     """The run's settings.  max_enum_b, the `limit` every handler passes on,
-    is QUADREP_MAX_B, else the config file's, else 10,000."""
+    is QUADREP_MAX_B, else the config file's, else 10,000; this is the one
+    place that reads the environment."""
     values = load_config(args.config) if args.config else {}
     if "B" in values:
         values["default_b"] = values.pop("B")
+    env = os.environ.get("QUADREP_MAX_B")
+    if env:
+        try:
+            values["max_enum_b"] = int(env)
+        except ValueError as exc:
+            raise UsageError(f"QUADREP_MAX_B must be an integer, got {env!r}") from exc
     try:
-        values["max_enum_b"] = max_enum_b(values.get("max_enum_b", DEFAULT_MAX_ENUM_B))
         return CliConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -308,11 +320,13 @@ def _cmd_series(args, cfg: CliConfig):
     if B > MAX_SERIES_B:
         raise UsageError(f"--B must be at most {MAX_SERIES_B}, got {B}")
     s = _finite(args.s, "--s")
-    tol = _finite(args.tol, "--tol") if args.tol is not None else cfg.tolerance
+    tol = cfg.tolerance if args.tol is None else args.tol
+    if not 0 < tol < math.inf:  # the config's tolerance is checked in CliConfig
+        raise UsageError(f"--tol must be positive and finite, got {tol}")
     if args.verify:
-        if args.oracle:
-            series_lhs(ideal, args.m, s, min(B, 60), oracle=True, limit=cfg.max_enum_b)
         report = verify_theorem(ideal, args.m, s, B, tol)
+        if args.oracle:
+            check_coefficients(ideal, args.m, B, cfg.max_enum_b)
         payload = {
             "lhs": _series_eval_payload(report.lhs),
             "rhs": report.rhs,
@@ -324,7 +338,9 @@ def _cmd_series(args, cfg: CliConfig):
         }
         return payload, 0 if report.passed else 3
     fp = genus_fingerprint(ideal)
-    lhs = series_lhs(ideal, args.m, s, B, oracle=args.oracle, limit=cfg.max_enum_b)
+    lhs = series_lhs(ideal, args.m, s, B)
+    if args.oracle:
+        check_coefficients(ideal, args.m, B, cfg.max_enum_b)
     payload = {
         "lhs": _series_eval_payload(lhs),
         "rhs": series_rhs(fp, args.m, s, B),
@@ -402,7 +418,7 @@ def _suite_oracle(limit: int):
                 yield f"repnum D={D} ideal={name} b={b} m={m}", ok
     for m in (1, 2):
         try:
-            series_lhs(unit_ideal(Discriminant(5)), m, 4.0, 40, oracle=True, limit=limit)
+            check_coefficients(unit_ideal(Discriminant(5)), m, 40, limit)
         except ConsistencyError as exc:
             yield f"series oracle m={m}: {exc}", False
         else:
@@ -531,7 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="factor-by-factor report")
     p.add_argument(
         "--oracle", action="store_true",
-        help="cross-check counts against brute force for moduli up to 60",
+        help="check the coefficients g(b), b <= 60, against brute force "
+        "(dirichlet.check_coefficients)",
     )
     p.set_defaults(handler=_cmd_series)
 

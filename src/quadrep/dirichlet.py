@@ -27,9 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import kronecker, primes_upto, valuation
-from .divisor import sigma_def, sigma_factor_ramified, sigma_factor_unramified
+from .divisor import _local_factor, sigma_def
 from .errors import ConsistencyError
-from .ideals import FracIdeal, GenusFingerprint, genus_fingerprint, ramified_sign
+from .ideals import (
+    DEFAULT_MAX_ENUM_B,
+    FracIdeal,
+    GenusFingerprint,
+    genus_fingerprint,
+    ramified_sign,
+)
 from .quadfield import Discriminant
 from .repnum import rep_count_bruteforce, rep_count_prime_power, unramified_count
 
@@ -60,46 +66,31 @@ def _zeta_l_factor(p: int, chi: int, q: float) -> float:
     return (p - chi * q) / (p * (1 - q))
 
 
-def euler_factor_unramified(disc: Discriminant, p: int, m: int, s: float) -> float:
-    """Euler factor at p not dividing D, with q = p^(1-s):
+def euler_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
+    """The Euler factor at p of the representation side, q = p^(1-s):
 
-        (p - chi q)/(p (1 - q)) * (1 - chi^(nu+1) q^(nu+1))/(1 - chi q),
+        (p - chi q)/(p (1 - q)) * (1 - (chi q)^(nu+1))/(1 - chi q)
 
-    the second fraction read as 1/(1 - chi q) when m = 0.
+    with chi = chi_D(p) and nu = val_p(m), the second fraction read as
+    1/(1 - chi q) when m = 0.  At a ramified p chi = 0 makes the first
+    fraction 1/(1 - q) and the second 1, to which m != 0 adds
+    ramified_sign * q^nu, the sign taken from the fingerprint.
     """
     if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
-    if disc.D % p == 0:
-        raise ValueError(f"{p} ramifies in D = {disc.D}")
-    chi = kronecker(disc.D, p)
-    q = float(p) ** (1 - s)
+    return _euler_factor(fp, m, p, float(p) ** (1 - s), kronecker(fp.disc.D, p))
+
+
+def _euler_factor(fp: GenusFingerprint, m: int, p: int, q: float, chi: int) -> float:
+    """euler_factor from q = p^(1-s) and chi = chi_D(p)."""
     first = _zeta_l_factor(p, chi, q)
     t = chi * q
     if m == 0:
         return first / (1 - t)
     nu = valuation(m, p)
+    if chi == 0:
+        return first * (1 + ramified_sign(fp.disc, p, m, fp.sign(p)) * q**nu)
     return first * (1 - t ** (nu + 1)) / (1 - t)
-
-
-def euler_factor_ramified(
-    disc: Discriminant, p: int, m: int, na_sign: int, s: float
-) -> float:
-    """Euler factor at p | D: (1 + sigma q^nu)/(1 - q) with q = p^(1-s) and
-
-    sigma = ramified_sign(disc, p, m, na_sign) and nu = val_p(m); for m = 0
-    the sigma term drops and the factor is 1/(1 - q).
-    """
-    if not s > 1:
-        raise ValueError(f"factor needs s > 1, got {s}")
-    if disc.D % p != 0:
-        raise ValueError(f"{p} does not ramify in D = {disc.D}")
-    if na_sign not in (-1, 1):
-        raise ValueError(f"na_sign must be -1 or 1, got {na_sign}")
-    q = float(p) ** (1 - s)
-    if m == 0:
-        return 1 / (1 - q)
-    sig = ramified_sign(disc, p, m, na_sign)
-    return (1 + sig * q ** valuation(m, p)) / (1 - q)
 
 
 def zeta_truncated(s: float, B: int) -> SeriesEval:
@@ -108,9 +99,7 @@ def zeta_truncated(s: float, B: int) -> SeriesEval:
         raise ValueError(f"zeta truncation needs s > 1, got {s}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    ns = np.arange(1, B + 1, dtype=np.float64)
-    value = float(np.sum(ns ** (-s)))
-    return SeriesEval(value, B, B ** (1 - s) / (s - 1))
+    return SeriesEval(float(np.sum(_powers(s, B))), B, B ** (1 - s) / (s - 1))
 
 
 def _legendre_table(q: int) -> np.ndarray:
@@ -203,8 +192,7 @@ def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:
         raise ValueError(f"L truncation needs s > 0, got {s}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    terms = np.arange(1, B + 1, dtype=np.float64)
-    terms **= -s
+    terms = _powers(s, B)
     terms *= _chi_upto(disc, B)[1:]
     return SeriesEval(float(np.sum(terms)), B, disc.D * float(B) ** (-s))
 
@@ -294,9 +282,7 @@ def _unramified_product(
     return counts
 
 
-def series_coefficients(
-    ideal: FracIdeal, m: int, B: int, oracle: bool = False, limit: int | None = None
-) -> np.ndarray:
+def series_coefficients(ideal: FracIdeal, m: int, B: int) -> np.ndarray:
     """g_rep(ideal, m, b) for b = 1..B (entry b - 1), by a multiplicative sieve.
 
     The count at modulus b*D is the product of the closed prime-power
@@ -307,16 +293,14 @@ def series_coefficients(
     unramified part for every b at once, starting from the product of the
     ramified quotients at p, and each ramified p then swaps in its
     quotients at higher powers on its multiples.  g(b) < 2^(omega+1)
-    B^(3/2), and a B that could pass 2^63 is a ValueError.  With
-    oracle=True, D g(b) for b <= 60 is cross-checked against brute-force
-    enumeration, whose moduli `limit` bounds as in residue_norm_profile.
+    B^(3/2), and a B that could pass 2^63 is a ValueError.
+    check_coefficients holds the first 60 against brute-force enumeration.
     """
-    return _coefficients(ideal, m, B, oracle, limit, None)
+    return _coefficients(ideal, m, B, None)
 
 
 def _coefficients(
-    ideal: FracIdeal, m: int, B: int, oracle: bool, limit: int | None,
-    chi: np.ndarray | None,
+    ideal: FracIdeal, m: int, B: int, chi: np.ndarray | None
 ) -> np.ndarray:
     """series_coefficients, reading chi_D(0..B) from `chi` if it is given."""
     if B < 1:
@@ -360,16 +344,25 @@ def _coefficients(
         # some ramified factor vanishes for every exponent >= 1 (the sign
         # obstruction depends only on val_p(m)), so every coefficient is zero
         g = np.zeros(B, dtype=np.int64)
-    if oracle:
-        D = disc.D
-        for b in range(1, min(B, 60) + 1):
-            brute = rep_count_bruteforce(ideal, m, b * D, limit)
-            count = D * int(g[b - 1])
-            if brute != count:
-                raise ConsistencyError(
-                    f"closed count {count} != enumeration {brute} at modulus {b}*{D}"
-                )
     return g
+
+
+def check_coefficients(
+    ideal: FracIdeal, m: int, B: int, limit: int = DEFAULT_MAX_ENUM_B
+) -> None:
+    """Hold D g(b) for b <= min(B, 60) against brute-force enumeration.
+
+    The coefficients come from series_coefficients and the counts at b*D
+    from rep_count_bruteforce, whose moduli `limit` bounds as in
+    residue_norm_profile; a disagreement raises ConsistencyError.
+    """
+    D = ideal.disc.D
+    for b, g in enumerate(series_coefficients(ideal, m, min(B, 60)).tolist(), 1):
+        brute = rep_count_bruteforce(ideal, m, b * D, limit)
+        if brute != D * g:
+            raise ConsistencyError(
+                f"closed count {D * g} != enumeration {brute} at modulus {b}*{D}"
+            )
 
 
 def _check_series_args(s: float, B: int) -> None:
@@ -380,19 +373,14 @@ def _check_series_args(s: float, B: int) -> None:
         raise ValueError(f"B must be >= 1, got {B}")
 
 
-def series_lhs(
-    ideal: FracIdeal, m: int, s: float, B: int,
-    oracle: bool = False, limit: int | None = None,
-) -> SeriesEval:
+def series_lhs(ideal: FracIdeal, m: int, s: float, B: int) -> SeriesEval:
     """Partial sum over b <= B of g_rep(ideal, m, b) b^(-s).
 
     The coefficients come from series_coefficients, near-linear numpy work
-    in B, and are summed with numpy.  With oracle=True the counts for
-    b <= 60 are cross-checked against brute-force enumeration (moduli
-    bounded by `limit`) and any disagreement raises ConsistencyError.
+    in B, and are summed with numpy.
     """
     _check_series_args(s, B)
-    g = series_coefficients(ideal, m, B, oracle, limit)
+    g = series_coefficients(ideal, m, B)
     return _lhs_sum(ideal.disc.omega, g, s, B, None)
 
 
@@ -503,15 +491,18 @@ def verify_theorem(
 ) -> TheoremReport:
     """Compare both sides of the series identity, globally and factor by factor.
 
-    The global check is |lhs - rhs| <= tol * max(1, |rhs|).  For each prime
-    p <= 50, euler_factor_* is compared with the closed side's local factor,
-    _zeta_l_factor times the divisor sum's factor at 1 - s.  Both sides share
-    _zeta_l_factor and, at a ramified p, evaluate the same
-    (1 + ramified_sign q^nu)/(1 - q), q = p^(1-s); what the check compares
-    is, at an unramified p with m != 0, the closed geometric sum in
-    euler_factor_unramified with sigma_factor_unramified's term-by-term sum.
+    The global check is |lhs - rhs| <= tol * max(1, |rhs|), for a tol in
+    (0, inf).  For each prime p <= 50, euler_factor is compared with the
+    closed side's local factor, _zeta_l_factor times the divisor sum's
+    factor at 1 - s, both from one chi_D(p).  Both sides share _zeta_l_factor
+    and, at a ramified p, evaluate the same 1 + ramified_sign q^nu,
+    q = p^(1-s); what the check compares is, at an unramified p with m != 0,
+    euler_factor's closed geometric sum with the divisor factor's
+    term-by-term sum.
     """
     _check_series_args(s, B)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     disc = ideal.disc
     fp = genus_fingerprint(ideal)
     # series_lhs and series_rhs, with one chi_D(0..B) for the sieve and the
@@ -520,7 +511,7 @@ def verify_theorem(
     sigma = sigma_def(fp, m, 1 - s) if m else None
     summed = sigma != 0.0
     chi = _chi_upto(disc, B) if summed else None
-    g = _coefficients(ideal, m, B, False, None, chi)
+    g = _coefficients(ideal, m, B, chi)
     w = _powers(s, B) if summed else None
     lhs = _lhs_sum(disc.omega, g, s, B, w)
     del g  # the products in its buffer are summed: room for the closed side
@@ -531,19 +522,9 @@ def verify_theorem(
     for p in primes_upto(50).tolist():
         q = float(p) ** (1 - s)
         chi = kronecker(disc.D, p)
-        if disc.D % p == 0:
-            lf = euler_factor_ramified(disc, p, m, fp.sign(p), s)
-            sig = 1.0 if m == 0 else sigma_factor_ramified(fp, m, p, 1 - s)
-            rf = sig / (1 - q)
-        else:
-            lf = euler_factor_unramified(disc, p, m, s)
-            zl = _zeta_l_factor(p, chi, q)
-            sig = (
-                1 / (1 - chi * q)
-                if m == 0
-                else sigma_factor_unramified(disc, m, p, 1 - s)
-            )
-            rf = zl * sig
+        lf = _euler_factor(fp, m, p, q, chi)
+        sig = 1 / (1 - chi * q) if m == 0 else _local_factor(fp, m, p, 1 - s, chi)
+        rf = _zeta_l_factor(p, chi, q) * sig
         factors.append(
             FactorCheck(p, lf, rf, abs(lf - rf) <= tol * max(1.0, abs(rf)))
         )

@@ -74,49 +74,31 @@ def sigma_def(fp: GenusFingerprint, m: int, s: float) -> float:
     return math.sqrt(abs(m)) * total
 
 
-def _power_sum(p: int, weights: list[int], s: float, centred: bool) -> float:
-    """Sum over k <= nu of weights[k] p^(ks), term by term; nu = len(weights) - 1.
+def _local_factor(
+    fp: GenusFingerprint, m: int, p: int, s: float, chi: int, centred: bool = False
+) -> float:
+    """The Euler factor at p, chi = chi_D(p), as a sum over k <= nu = val_p(m).
 
-    centred multiplies the sum by p^(-nu s/2): the terms are then at most
-    p^(nu |s|/2), the size of the centred factor itself.
+    The weight of p^(ks) is chi^k, so at p not dividing D the factor is the
+    geometric sum of (chi p^s)^k.  At a ramified p chi = 0 leaves the k = 0
+    term, and the sign from ramified_sign joins the k = nu term: the factor
+    is 1 + sign * p^(nu s).  The terms are added one by one, so no power
+    beyond the largest term is formed; centred multiplies the sum by
+    p^(-nu s/2), and its terms are then at most p^(nu |s|/2), the size of
+    the centred factor itself.
     """
-    centre = (len(weights) - 1) / 2 if centred else 0
+    nu = valuation(m, p)
+    weights = [chi**k for k in range(nu + 1)]
+    if chi == 0:
+        weights[nu] += ramified_sign(fp.disc, p, m, fp.sign(p))
+    centre = nu / 2 if centred else 0
     return sum(w * float(p) ** ((k - centre) * s) for k, w in enumerate(weights) if w)
 
 
-def _unramified_weights(disc: Discriminant, m: int, p: int) -> list[int]:
-    """chi_D(p)^k for k = 0..val_p(m): the Euler factor at p not dividing D."""
+def sigma_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
+    """The Euler factor at p of the divisor sum, for m != 0 (_local_factor)."""
     _check_m(m)
-    if disc.D % p == 0:
-        raise ValueError(f"{p} ramifies in D = {disc.D}")
-    chi = kronecker(disc.D, p)
-    return [chi**k for k in range(valuation(m, p) + 1)]
-
-
-def _ramified_weights(fp: GenusFingerprint, m: int, p: int) -> list[int]:
-    """The Euler factor 1 + sign * p^(nu s) at a ramified p, as weights by exponent."""
-    _check_m(m)
-    sign = ramified_sign(fp.disc, p, m, fp.sign(p))
-    nu = valuation(m, p)
-    return [1 + sign] if nu == 0 else [1] + [0] * (nu - 1) + [sign]
-
-
-def sigma_factor_unramified(disc: Discriminant, m: int, p: int, s: float) -> float:
-    """Euler factor at p not dividing D: sum of chi_D(p)^k p^(ks) for k <= nu.
-
-    nu = val_p(m).  The geometric sum is added term by term, so no power
-    beyond the largest term p^(nu s) is formed.
-    """
-    return _power_sum(p, _unramified_weights(disc, m, p), s, False)
-
-
-def sigma_factor_ramified(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
-    """Euler factor at a ramified p: 1 + sign * p^(nu s).
-
-    The sign is ramified_sign with nu = val_p(m), the norm symbol coming
-    from the fingerprint.
-    """
-    return _power_sum(p, _ramified_weights(fp, m, p), s, False)
+    return _local_factor(fp, m, p, s, kronecker(fp.disc.D, p))
 
 
 def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
@@ -129,10 +111,10 @@ def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
     disc = fp.disc
     value = 1.0
     for p in disc.primes:
-        value *= _power_sum(p, _ramified_weights(fp, m, p), s, True)
+        value *= _local_factor(fp, m, p, s, 0, True)
     for p, _ in factorize(m):
         if disc.D % p != 0:
-            value *= _power_sum(p, _unramified_weights(disc, m, p), s, True)
+            value *= _local_factor(fp, m, p, s, kronecker(disc.D, p), True)
     return math.sqrt(abs(m)) * value
 
 
@@ -149,7 +131,7 @@ def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
     unram = 1.0
     for p in fac:
         if disc.D % p != 0:
-            unram *= _power_sum(p, _unramified_weights(disc, m, p), s, True)
+            unram *= _local_factor(fp, m, p, s, kronecker(disc.D, p), True)
     # the ramified part m_D1 * m_D2 of m is the same for every pair
     m_ram = math.prod(p ** fac.get(p, 0) for p in disc.primes)
     fp_by_p = fp.as_dict()

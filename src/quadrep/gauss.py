@@ -19,6 +19,7 @@ import numpy as np
 
 from .arith import eps, is_prime, kronecker, rational_legendre, valuation
 from .ideals import (
+    DEFAULT_MAX_ENUM_B,
     FracIdeal,
     check_enum_bound,
     coprime_to,
@@ -75,7 +76,7 @@ def eval_complex(vec: ExponentVector) -> complex:
 
 
 def gauss_direct(
-    ideal: FracIdeal, a: int, b: int, limit: int | None = None
+    ideal: FracIdeal, a: int, b: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> ExponentVector:
     """The Gauss sum G_b(ideal, a) by direct residue enumeration.
 
@@ -119,7 +120,7 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
 
 
 def classical_gauss(
-    a: int, c: int, limit: int | None = None
+    a: int, c: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> tuple[ExactGaussValue, ExponentVector]:
     """The classical sum over x mod c of e(a x^2 / c), closed and direct.
 

@@ -19,7 +19,6 @@ ramified Gauss sums.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,29 +32,18 @@ DEFAULT_MAX_ENUM_B = 10_000
 _GENUS_PRIME_BOUND = 2000
 
 
-def max_enum_b(default: int = DEFAULT_MAX_ENUM_B) -> int:
-    """Enumeration bound for residue profiles; QUADREP_MAX_B overrides `default`."""
-    env = os.environ.get("QUADREP_MAX_B")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"QUADREP_MAX_B must be an integer, got {env!r}") from exc
-    return default
-
-
-def check_enum_bound(b: int, limit: int | None) -> None:
-    """Refuse a modulus b past `limit`, or max_enum_b() when None.
+def check_enum_bound(b: int, limit: int) -> None:
+    """Refuse a modulus b past `limit`.
 
     The bound caps what one modulus may cost: a residue profile holds b
     counts and takes O(b) time apart from one length-p convolution per odd
     p | b, brute force reads such a profile, and the classical Gauss sum
-    enumerates all b residues.
+    enumerates all b residues.  The CLI passes its QUADREP_MAX_B setting
+    here; the library reads no environment.
     """
-    bound = limit if limit is not None else max_enum_b()
-    if b > bound:
+    if b > limit:
         raise EnumerationBoundError(
-            f"modulus {b} exceeds enumeration bound {bound} (QUADREP_MAX_B overrides)"
+            f"modulus {b} exceeds enumeration bound {limit} (QUADREP_MAX_B overrides)"
         )
 
 
@@ -282,7 +270,7 @@ _PROFILE_CACHE: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
 
 
 def residue_norm_profile(
-    ideal: FracIdeal, b: int, limit: int | None = None
+    ideal: FracIdeal, b: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> tuple[int, ...]:
     """Counts of N(lambda)/N(ideal) mod b over lambda in ideal/(b*ideal).
 

@@ -14,14 +14,20 @@ import numpy as np
 from .arith import factorize, kronecker, valuation
 from .errors import ConsistencyError
 from .gauss import ExponentVector, eval_complex
-from .ideals import FracIdeal, genus_fingerprint, ramified_sign, residue_norm_profile
+from .ideals import (
+    DEFAULT_MAX_ENUM_B,
+    FracIdeal,
+    genus_fingerprint,
+    ramified_sign,
+    residue_norm_profile,
+)
 from .quadfield import Discriminant
 
 DFT_RESIDUAL_TOL = 1e-6
 
 
 def rep_count_bruteforce(
-    ideal: FracIdeal, m: int, b: int, limit: int | None = None
+    ideal: FracIdeal, m: int, b: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> int:
     """Count lambda in ideal/(b*ideal) with norm ratio m (mod b), by enumeration."""
     return residue_norm_profile(ideal, b, limit)[m % b]
@@ -98,7 +104,7 @@ def g_rep(ideal: FracIdeal, m: int, b: int) -> int:
 
 
 def rep_from_gauss_dft(
-    ideal: FracIdeal, m: int, p: int, beta: int, limit: int | None = None
+    ideal: FracIdeal, m: int, p: int, beta: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> int:
     """Reconstruct the count at p^beta as (1/b) sum_a G_b(ideal, a) e(-a m / b).
 

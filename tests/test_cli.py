@@ -81,6 +81,57 @@ def test_series_verify_failure_exits_3(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_outside_its_domain_exits_2(tmp_path, capsys, tol):
+    # --tol is refused where the config key tolerance is: exit 2, one line
+    argv = ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "100", "--verify"]
+    code, out, err = run(capsys, argv + ["--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be positive and finite, got {float(tol)}\n"
+    cfg = tmp_path / "quadrep.cfg"
+    cfg.write_text(f"tolerance={tol}\n")
+    code, out, err = run(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be positive and finite\n"
+
+
+def test_subnormal_tol_is_accepted(capsys):
+    code, out, _ = run(
+        capsys,
+        ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "100",
+         "--verify", "--tol", "1e-320"],
+    )
+    assert code == 3
+    assert json.loads(out)["pass"] is False
+
+
+def test_oracle_is_one_check_after_the_series(capsys, monkeypatch):
+    # --oracle calls check_coefficients once, after the series call of
+    # either path; --verify --oracle sums no separate lhs
+    import quadrep.cli as cli
+
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    calls = []
+
+    def recorder(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[1:]))
+            return fn(*args)
+        return wrapped
+
+    for name in ("series_lhs", "verify_theorem", "check_coefficients"):
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    argv = ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "200", "--oracle"]
+    assert run(capsys, argv)[0] == 0
+    assert calls == [("series_lhs", (1, 4.0, 200)), ("check_coefficients", (1, 200, 10_000))]
+    calls.clear()
+    assert run(capsys, argv + ["--verify"])[0] == 0
+    assert calls == [
+        ("verify_theorem", (1, 4.0, 200, 1e-3)),
+        ("check_coefficients", (1, 200, 10_000)),
+    ]
+
+
 def test_series_payload_keys(capsys):
     code, out, _ = run(
         capsys,
@@ -169,7 +220,7 @@ def test_series_b_cap(tmp_path, capsys, monkeypatch):
 
     seen = []
 
-    def lhs(ideal, m, s, B, oracle=False, limit=None):
+    def lhs(ideal, m, s, B):
         seen.append(B)
         return SeriesEval(1.0, B, 0.0)
 

@@ -11,9 +11,9 @@ import quadrep.dirichlet as dirichlet
 import quadrep.ideals as ideals
 from quadrep.dirichlet import (
     SeriesEval,
+    check_coefficients,
     chi_table,
-    euler_factor_ramified,
-    euler_factor_unramified,
+    euler_factor,
     l_truncated,
     residue_at_2,
     series_coefficients,
@@ -22,10 +22,15 @@ from quadrep.dirichlet import (
     verify_theorem,
     zeta_truncated,
 )
-from quadrep.arith import kronecker, primes_upto
+from quadrep.arith import kronecker, primes_upto, valuation
 from quadrep.divisor import sigma_def
-from quadrep.errors import ConsistencyError
-from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
+from quadrep.errors import ConsistencyError, EnumerationBoundError
+from quadrep.ideals import (
+    genus_fingerprint,
+    genus_representatives,
+    ramified_sign,
+    unit_ideal,
+)
 from quadrep.quadfield import Discriminant
 from quadrep.repnum import g_rep, rep_count_prime_power
 
@@ -56,30 +61,29 @@ def test_series_eval_validation():
 
 
 def test_euler_factor_pinned():
-    assert euler_factor_unramified(d5, 2, 1, 3.0) == 1.5
-    got = euler_factor_ramified(d5, 5, 1, 1, 3.0)
+    fp = fp_unit(d5)
+    assert euler_factor(fp, 1, 2, 3.0) == 1.5
+    got = euler_factor(fp, 1, 5, 3.0)
     assert abs(got - 25 / 12) < 1e-15
-    assert euler_factor_ramified(d5, 5, 1, -1, 3.0) == 0.0
+    # the sign at the ramified 5 comes from the fingerprint: 2 is a
+    # non-residue mod 5, so m = 2 takes the other sign and the factor vanishes
+    assert euler_factor(fp, 2, 5, 3.0) == 0.0
 
 
 def test_euler_factor_limits():
     # unramified factors tend to 1 as s grows; the ramified one tends to
     # 1 + sigma, which only collapses to 1 when p divides m
+    fp = fp_unit(d5)
     for p, m in ((2, 1), (3, 4), (7, 0)):
-        assert abs(euler_factor_unramified(d5, p, m, 40.0) - 1) < 1e-10
-    assert abs(euler_factor_ramified(d5, 5, 1, 1, 40.0) - 2) < 1e-10
-    assert abs(euler_factor_ramified(d5, 5, 5, 1, 40.0) - 1) < 1e-10
+        assert abs(euler_factor(fp, m, p, 40.0) - 1) < 1e-10
+    assert abs(euler_factor(fp, 1, 5, 40.0) - 2) < 1e-10
+    assert abs(euler_factor(fp, 5, 5, 40.0) - 1) < 1e-10
 
 
 def test_euler_factor_validation():
-    with pytest.raises(ValueError):
-        euler_factor_unramified(d5, 2, 1, 1.0)
-    with pytest.raises(ValueError):
-        euler_factor_unramified(d5, 5, 1, 3.0)  # 5 ramifies
-    with pytest.raises(ValueError):
-        euler_factor_ramified(d5, 2, 1, 1, 3.0)  # 2 does not
-    with pytest.raises(ValueError):
-        euler_factor_ramified(d5, 5, 1, 0, 3.0)
+    for s in (1.0, 0.5, float("nan")):
+        with pytest.raises(ValueError):
+            euler_factor(fp_unit(d5), 1, 2, s)
 
 
 def test_zeta_truncated():
@@ -162,8 +166,11 @@ def test_series_lhs_first_term():
 
 def test_series_lhs_oracle_mode():
     for m in (1, 2):
-        series_lhs(unit_ideal(d5), m, 4.0, 40, oracle=True)
-    series_lhs(unit_ideal(d21), 1, 4.0, 40, oracle=True)
+        check_coefficients(unit_ideal(d5), m, 40)
+    check_coefficients(unit_ideal(d21), 1, 40)
+    # the moduli b*D reach 60*21 = 1260, past a limit of 1000
+    with pytest.raises(EnumerationBoundError):
+        check_coefficients(unit_ideal(d21), 1, 100, 1000)
 
 
 def test_series_lhs_monotone_tail():
@@ -184,8 +191,9 @@ def test_series_domain_validation():
 
 def test_vanishing_sigma_kills_every_term():
     # D = 5, m = 2: the series is identically zero, term by term
-    ev = series_lhs(unit_ideal(d5), 2, 4.0, 60, oracle=True)
+    ev = series_lhs(unit_ideal(d5), 2, 4.0, 60)
     assert ev.value == 0.0 and ev.tail_bound == 0.0
+    check_coefficients(unit_ideal(d5), 2, 60)
     for b in range(1, 61):
         assert g_rep(unit_ideal(d5), 2, b) == 0
     assert series_rhs(fp_unit(d5), 2, 4.0, 10**4) == 0.0
@@ -316,6 +324,38 @@ def test_verify_theorem_report():
     assert abs(p2.lhs - 1.5) < 1e-12 and abs(p2.rhs - 1.5) < 1e-12
 
 
+def test_verify_theorem_tolerance_domain():
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_theorem(unit_ideal(d5), 1, 4.0, 100, tol)
+    rep = verify_theorem(unit_ideal(d5), 1, 4.0, 100, 1e-320)
+    assert rep.tol == 1e-320 and not rep.passed
+
+
+def test_euler_factor_matches_the_case_formulas():
+    # chi_D(p) = 0 at a ramified p turns the unramified formula into
+    # (1 + sign q^nu)/(1 - q); the merged factor keeps each case to rounding
+    for D in (5, 21, 105):
+        disc = Discriminant(D)
+        for rep in genus_representatives(disc):
+            fp = genus_fingerprint(rep)
+            for p in primes_upto(50).tolist():
+                chi = kronecker(D, p)
+                for m in (0, 1, 2, 3, 12, -7, 125):
+                    for s in (2.5, 3.0, 4.0):
+                        q = float(p) ** (1 - s)
+                        if m and not chi:
+                            sign = ramified_sign(disc, p, m, fp.sign(p))
+                            want = (1 + sign * q ** valuation(m, p)) / (1 - q)
+                        else:
+                            t = chi * q
+                            nu = 0 if m == 0 else valuation(m, p) + 1
+                            geo = (1 - t**nu if m else 1) / (1 - t)
+                            want = (p - t) / (p * (1 - q)) * geo
+                        got = euler_factor(fp, m, p, s)
+                        assert abs(got - want) <= 4.5e-16 * abs(want), (D, p, m, s)
+
+
 def test_verify_theorem_vanishing_case():
     rep = verify_theorem(unit_ideal(d21), 3, 4.0, 2000)
     assert rep.passed
@@ -367,10 +407,11 @@ def test_all_zero_path_still_runs_the_oracle(monkeypatch):
     # the zero counts skip the divisibility check, not the brute-force one
     ideal = unit_ideal(d5)
     m = _vanishing_m(genus_fingerprint(ideal))
-    assert not series_coefficients(ideal, m, 50, oracle=True).any()
+    assert not series_coefficients(ideal, m, 50).any()
+    check_coefficients(ideal, m, 50)
     monkeypatch.setattr(dirichlet, "rep_count_bruteforce", lambda *args: 1)
     with pytest.raises(ConsistencyError, match="enumeration"):
-        series_coefficients(ideal, m, 50, oracle=True)
+        check_coefficients(ideal, m, 50)
 
 
 def test_chi_table_matches_kronecker():
@@ -527,7 +568,7 @@ def test_series_coefficients_checks(monkeypatch):
     wrong = series_coefficients(ideal, 4, 50)  # 2 | m: the scalar count is used
     assert wrong[1] == 2 * g_rep(ideal, 4, 2)
     with pytest.raises(ConsistencyError, match="enumeration"):
-        series_coefficients(ideal, 4, 50, oracle=True)
+        check_coefficients(ideal, 4, 50)
 
 
 def test_ramified_count_not_divisible_past_the_first_power(monkeypatch):
@@ -538,9 +579,9 @@ def test_ramified_count_not_divisible_past_the_first_power(monkeypatch):
         return rep_count_prime_power(disc, p, beta, m, na_sign) + (p == 3 and beta >= 2)
 
     monkeypatch.setattr(dirichlet, "rep_count_prime_power", broken)
-    for oracle in (False, True):
+    for check in (series_coefficients, check_coefficients):
         with pytest.raises(ConsistencyError, match=r"3\^2 is not divisible"):
-            series_coefficients(ideal, 1, 50, oracle=oracle)
+            check(ideal, 1, 50)
 
 
 def test_series_coefficients_bound_before_allocation():
@@ -596,4 +637,4 @@ def test_non_finite_s_rejected():
     with pytest.raises(ValueError):
         l_truncated(d5, nan, 10)
     with pytest.raises(ValueError):
-        euler_factor_unramified(d5, 2, 1, nan)
+        euler_factor(fp_unit(d5), 1, 2, nan)

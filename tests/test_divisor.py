@@ -7,8 +7,7 @@ from quadrep.divisor import (
     sigma_decomp,
     sigma_def,
     sigma_euler,
-    sigma_factor_ramified,
-    sigma_factor_unramified,
+    sigma_factor,
     sigma_vanishes,
 )
 from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
@@ -125,12 +124,12 @@ def test_decomposition_subexpression():
             for s in (0.0, 1.0, 2.0):
                 prod = 1.0
                 for p in d21.primes:
-                    prod *= sigma_factor_ramified(fp, m, p, s)
+                    prod *= sigma_factor(fp, m, p, s)
                 direct = sigma_def(fp, m, s) / abs(m) ** ((1 - s) / 2)
                 unram = 1.0
                 for p, _ in factorize(m):
                     if d21.D % p != 0:
-                        unram *= sigma_factor_unramified(d21, m, p, s)
+                        unram *= sigma_factor(fp, m, p, s)
                 assert abs(prod * unram - direct) <= 1e-11 * max(1.0, abs(direct))
 
 
@@ -145,10 +144,9 @@ def test_sigma_rejects_zero_m():
 
 def test_factor_validation():
     fp21 = genus_fingerprint(unit_ideal(d21))
-    with pytest.raises(ValueError):
-        sigma_factor_unramified(d21, 1, 3, 0.0)
-    with pytest.raises(ValueError):
-        sigma_factor_ramified(fp21, 1, 5, 0.0)
+    for p in (2, 3):  # unramified and ramified in D = 21
+        with pytest.raises(ValueError):
+            sigma_factor(fp21, 0, p, 0.0)
     with pytest.raises(ValueError):
         ramified_sign_product(fp21, 5, 1)
 

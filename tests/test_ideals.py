@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quadrep.errors import EnumerationBoundError, RepresentativeSearchError
 from quadrep.ideals import (
+    DEFAULT_MAX_ENUM_B,
     FracIdeal,
     GenusFingerprint,
     PrimIdeal,
@@ -170,12 +171,18 @@ def test_profile_scale_invariant():
         assert residue_norm_profile(p5, b) == residue_norm_profile(scaled, b)
 
 
-def test_profile_respects_enum_bound(monkeypatch):
-    monkeypatch.setenv("QUADREP_MAX_B", "100")
+def test_profile_respects_enum_bound():
+    with pytest.raises(EnumerationBoundError, match="exceeds enumeration bound 100"):
+        residue_norm_profile(unit_ideal(d5), 150, limit=100)
+    assert len(residue_norm_profile(unit_ideal(d5), 150, limit=150)) == 150
     with pytest.raises(EnumerationBoundError):
-        residue_norm_profile(unit_ideal(d5), 150)
-    monkeypatch.delenv("QUADREP_MAX_B")
-    assert len(residue_norm_profile(unit_ideal(d5), 150)) == 150
+        residue_norm_profile(unit_ideal(d5), DEFAULT_MAX_ENUM_B + 1)
+
+
+def test_library_reads_no_environment(monkeypatch):
+    # QUADREP_MAX_B is the CLI's setting; a library call bounds by `limit`
+    monkeypatch.setenv("QUADREP_MAX_B", "50")
+    assert len(residue_norm_profile(unit_ideal(Discriminant(5)), 100)) == 100
 
 
 def test_fingerprint_validation():
@@ -300,3 +307,35 @@ def test_coprime_to_property_matches_valuations(ideal, p, k, n):
     for variant in _variants(ideal, p, k)[1]:
         for m in (n, p * (n % 8 + 1)):
             assert coprime_to(variant, m) == coprime_by_valuations(variant, m)
+
+
+# Group laws of ideal multiplication and the textual round trip.  J and K
+# are primes above p < 60 in the field of I, or their inverses, so that
+# scales with inert, split and ramified primes in them occur.
+@st.composite
+def same_field_ideals(draw):
+    ideal = draw(small_ideals())
+
+    def other():
+        p = draw(st.sampled_from(SMALL_PRIMES))
+        J = draw(st.sampled_from([pr.ideal for pr in prime_above(ideal.disc, p)]))
+        return J.inverse() if draw(st.booleans()) else J
+
+    return ideal, other(), other()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ideals=same_field_ideals())
+def test_ideal_group_law_properties(ideals):
+    I, J, K = ideals
+    assert I * I.inverse() == unit_ideal(I.disc)
+    assert (I * J).norm() == I.norm() * J.norm()
+    assert (I * J) * K == I * (J * K)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ideals=same_field_ideals())
+def test_format_parse_round_trip_property(ideals):
+    I, J, K = ideals
+    for ideal in (I, I.inverse(), I * J, J * K.inverse()):
+        assert parse_ideal(ideal.disc, format_ideal(ideal)) == ideal
