@@ -154,21 +154,6 @@ def valuation(x: Rational, p: int) -> int:
     return v
 
 
-def rational_legendre(x: Rational, p: int) -> int:
-    """Legendre symbol of a p-unit rational at an odd prime p.
-
-    x = num/den with val_p(x) = 0 reduces to num * den^(-1) mod p, and the
-    symbol is taken of that residue class.  Rejects non-units at p.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"rational_legendre requires an odd prime, got {p}")
-    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-    if num == 0 or num % p == 0 or den % p == 0:
-        raise ValueError(f"{x} is not a p-unit at p = {p}")
-    r = num * pow(den, -1, p) % p
-    return kronecker(r, p)
-
-
 def sqrt_mod(n: int, p: int) -> int:
     """A square root of n modulo an odd prime p (Tonelli-Shanks).
 

@@ -19,13 +19,14 @@ from fractions import Fraction
 from .arith import factorize
 from .divisor import sigma_decomp, sigma_def, sigma_euler
 from .dirichlet import (
+    CHECK_B,
     check_coefficients,
     residue_at_2,
     series_lhs,
     series_rhs,
     verify_theorem,
 )
-from .errors import ConsistencyError, QuadrepError
+from .errors import ConsistencyError, EnumerationBoundError, QuadrepError
 from .gauss import classical_gauss, eval_complex, gauss_closed, gauss_direct
 from .ideals import (
     DEFAULT_MAX_ENUM_B,
@@ -47,6 +48,9 @@ JSON_INT_LIMIT = 2**53
 MAX_SERIES_B = 10**7
 
 IDEAL_GRAMMAR = "ideal grammar: ok | prim:a,b | frac:num/den:a,b | prime:p,k"
+
+# appended to every enumeration-bound error: the CLI's setting of the bound
+_BOUND_HINT = " (QUADREP_MAX_B overrides)"
 
 
 class UsageError(Exception):
@@ -245,10 +249,10 @@ def _fingerprint_payload(fp) -> dict:
     return {str(p): fp.sign(p) for p in fp.disc.primes}
 
 
-def _dft_count(ideal: FracIdeal, m: int, b: int, cfg: CliConfig) -> int:
+def _dft_count(ideal: FracIdeal, m: int, b: int) -> int:
     total = 1
     for p, e in factorize(b):
-        total *= rep_from_gauss_dft(ideal, m, p, e, cfg.max_enum_b)
+        total *= rep_from_gauss_dft(ideal, m, p, e)
     return total
 
 
@@ -259,12 +263,12 @@ def _cmd_repnum(args, cfg: CliConfig):
     if args.method == "all":
         n = rep_count(ideal, args.m, b)
         brute = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
-        dft = _dft_count(ideal, args.m, b, cfg)
+        dft = _dft_count(ideal, args.m, b)
         return {"N": n, "agree": n == brute == dft}, 0
     if args.method == "brute":
         n = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
     elif args.method == "gauss-dft":
-        n = _dft_count(ideal, args.m, b, cfg)
+        n = _dft_count(ideal, args.m, b)
     else:
         n = rep_count(ideal, args.m, b)
     return {"N": n}, 0
@@ -323,6 +327,12 @@ def _cmd_series(args, cfg: CliConfig):
     tol = cfg.tolerance if args.tol is None else args.tol
     if not 0 < tol < math.inf:  # the config's tolerance is checked in CliConfig
         raise UsageError(f"--tol must be positive and finite, got {tol}")
+    k = min(B, CHECK_B)
+    if args.oracle and k * disc.D > cfg.max_enum_b:
+        raise UsageError(
+            f"--oracle needs brute force at modulus {k}*{disc.D} = {k * disc.D}, "
+            f"past the enumeration bound {cfg.max_enum_b}{_BOUND_HINT}"
+        )
     if args.verify:
         report = verify_theorem(ideal, args.m, s, B, tol)
         if args.oracle:
@@ -414,7 +424,8 @@ def _suite_oracle(limit: int):
     for D, name, rep in _reps(5, 13, 21):
         for b in range(1, 13):
             for m in range(-6, 7):
-                ok = rep_count(rep, m, b) == rep_count_bruteforce(rep, m, b, limit)
+                n = rep_count(rep, m, b)
+                ok = n == rep_count_bruteforce(rep, m, b, limit) == _dft_count(rep, m, b)
                 yield f"repnum D={D} ideal={name} b={b} m={m}", ok
     for m in (1, 2):
         try:
@@ -548,7 +559,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle", action="store_true",
         help="check the coefficients g(b), b <= 60, against brute force "
-        "(dirichlet.check_coefficients)",
+        "(dirichlet.check_coefficients); needs min(B, 60)*D within the "
+        "enumeration bound, else exit 2",
     )
     p.set_defaults(handler=_cmd_series)
 
@@ -587,6 +599,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2
+    except EnumerationBoundError as exc:
+        sys.stderr.write(_error_line(f"{exc}{_BOUND_HINT}"))
+        return 1
     except (QuadrepError, ValueError) as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 1

@@ -40,6 +40,8 @@ from .quadfield import Discriminant
 from .repnum import rep_count_bruteforce, rep_count_prime_power, unramified_count
 
 DEFAULT_RESIDUE_B = 200_000
+# check_coefficients holds g(b) against brute force for b <= min(B, CHECK_B)
+CHECK_B = 60
 # the large-prime index runs in chunks of max(B/8, _CHUNK) entries: one
 # chunk below B = 2^18, and about one byte per term a chunk above it
 _CHUNK = 2**15
@@ -350,14 +352,14 @@ def _coefficients(
 def check_coefficients(
     ideal: FracIdeal, m: int, B: int, limit: int = DEFAULT_MAX_ENUM_B
 ) -> None:
-    """Hold D g(b) for b <= min(B, 60) against brute-force enumeration.
+    """Hold D g(b) for b <= min(B, CHECK_B) against brute-force enumeration.
 
     The coefficients come from series_coefficients and the counts at b*D
     from rep_count_bruteforce, whose moduli `limit` bounds as in
     residue_norm_profile; a disagreement raises ConsistencyError.
     """
     D = ideal.disc.D
-    for b, g in enumerate(series_coefficients(ideal, m, min(B, 60)).tolist(), 1):
+    for b, g in enumerate(series_coefficients(ideal, m, min(B, CHECK_B)).tolist(), 1):
         brute = rep_count_bruteforce(ideal, m, b * D, limit)
         if brute != D * g:
             raise ConsistencyError(

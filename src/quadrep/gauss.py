@@ -5,8 +5,9 @@ as the integer vector counting how often each exponent t/b occurs; floating
 point only enters when a vector or closed form is evaluated to a complex
 number for comparison.  Closed forms at prime powers split into a rational
 value and a "ramified" value coeff * eps(p) * sqrt(p); the sign of the
-latter is `ideals.ramified_sign` of a, times one more (-(D/p) | p) when
-beta is even.  The direct enumeration never calls it.
+latter is `ideals.ramified_sign` of a with the genus fingerprint's sign at
+p, times one more (-(D/p) | p) when beta is even, so they hold for every
+ideal.  The direct enumeration never calls it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from .arith import eps, is_prime, kronecker, rational_legendre, valuation
+from .arith import eps, is_prime, kronecker, valuation
 from .ideals import (
     DEFAULT_MAX_ENUM_B,
     FracIdeal,
     check_enum_bound,
-    coprime_to,
+    genus_fingerprint,
     ramified_sign,
     residue_norm_profile,
 )
@@ -32,13 +33,12 @@ from .ideals import (
 class ExponentVector:
     """Integer counts: counts[t] copies of e(t/b).
 
-    counts is any length-b integer sequence: the library returns tuples,
-    which compare and hash, and evaluates the Gauss DFT's int64 array as it
-    is.  A vector from a full residue enumeration sums to b^2.
+    counts is a length-b tuple of ints, so vectors compare and hash.  A
+    vector from a full residue enumeration sums to b^2.
     """
 
     b: int
-    counts: tuple[int, ...] | np.ndarray
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.b < 1 or len(self.counts) != self.b:
@@ -94,8 +94,11 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
 
     With alpha = min(val_p(a), beta): the value is p^(2 beta) when
     alpha = beta; (chi_D(p) * p)^(alpha+beta) when p does not divide D; and
-    eps(p) * p^(alpha+beta+1/2) * (a0 N(ideal) | p) * (-D/p | p)^(alpha+beta+1)
-    in the ramified case, which requires the ideal to be coprime to p.
+    eps(p) * p^(alpha+beta+1/2) * (a0 | p) * s_p * (-D/p | p)^(alpha+beta+1)
+    in the ramified case, a0 = a/p^alpha and s_p the genus fingerprint's
+    sign at p.  The sum depends on the ideal only through its genus, and
+    for an ideal coprime to p that sign is (N(ideal) | p), so every ideal
+    has a closed form.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
@@ -108,13 +111,8 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
     chi = kronecker(disc.D, p)
     if chi != 0:
         return ExactGaussValue("rational", Fraction((chi * p) ** (alpha + beta)))
-    if not coprime_to(ideal, p):
-        raise ValueError(
-            f"ramified closed form needs an ideal coprime to {p}; "
-            "replace it by a coprime genus representative first"
-        )
     # here alpha = val_p(a) < beta, so ramified_sign carries the power alpha
-    sign = ramified_sign(disc, p, a, rational_legendre(ideal.norm(), p))
+    sign = ramified_sign(disc, p, a, genus_fingerprint(ideal).sign(p))
     sign *= kronecker(-(disc.D // p), p) ** ((beta + 1) % 2)
     return ExactGaussValue("ramified", Fraction(sign * p ** (alpha + beta)), p)
 

@@ -39,12 +39,10 @@ def check_enum_bound(b: int, limit: int) -> None:
     counts and takes O(b) time apart from one length-p convolution per odd
     p | b, brute force reads such a profile, and the classical Gauss sum
     enumerates all b residues.  The CLI passes its QUADREP_MAX_B setting
-    here; the library reads no environment.
+    here and names it in the error; the library reads no environment.
     """
     if b > limit:
-        raise EnumerationBoundError(
-            f"modulus {b} exceeds enumeration bound {limit} (QUADREP_MAX_B overrides)"
-        )
+        raise EnumerationBoundError(f"modulus {b} exceeds enumeration bound {limit}")
 
 
 class PrimIdeal:

@@ -2,18 +2,17 @@
 
 rep_count_bruteforce reads the count straight off the residue enumeration;
 rep_count assembles the same number from the closed prime-power counts via
-multiplicativity in b.  The two routes are kept independent so they can
-check each other, and g_rep exposes the exactly divisible rescaling
-rep_count(b*D)/D.
+multiplicativity in b; rep_from_gauss_dft inverts the closed Gauss sums of
+`gauss.gauss_closed` at one prime power, in exact integers and without any
+enumeration.  The three routes are kept independent so they can check each
+other, and g_rep exposes the exactly divisible rescaling rep_count(b*D)/D.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .arith import factorize, kronecker, valuation
 from .errors import ConsistencyError
-from .gauss import ExponentVector, eval_complex
+from .gauss import gauss_closed
 from .ideals import (
     DEFAULT_MAX_ENUM_B,
     FracIdeal,
@@ -22,8 +21,6 @@ from .ideals import (
     residue_norm_profile,
 )
 from .quadfield import Discriminant
-
-DFT_RESIDUAL_TOL = 1e-6
 
 
 def rep_count_bruteforce(
@@ -103,39 +100,38 @@ def g_rep(ideal: FracIdeal, m: int, b: int) -> int:
     return q
 
 
-def rep_from_gauss_dft(
-    ideal: FracIdeal, m: int, p: int, beta: int, limit: int = DEFAULT_MAX_ENUM_B
-) -> int:
-    """Reconstruct the count at p^beta as (1/b) sum_a G_b(ideal, a) e(-a m / b).
+def rep_from_gauss_dft(ideal: FracIdeal, m: int, p: int, beta: int) -> int:
+    """The count at b = p^beta as (1/b) sum_{a mod b} G_b(ideal, a) e(-a m / b).
 
-    Accumulates the double sum over a and lambda as one exact integer
-    exponent vector before any floating point: the pair (a, lambda)
-    contributes to exponent s exactly when a*(r - m) = s (mod b) for the
-    norm residue r of lambda, and the number of such a is gcd(r - m, b)
-    when that gcd divides s, else 0.  Since b = p^beta, that gcd is p^k
-    exactly for the residues r = m (mod p^k) that are not = m (mod p^(k+1)).
-    With S_k the profile summed over the class r = m (mod p^k), so S_0 is
-    the whole profile and S_(beta+1) = 0, the weight (S_k - S_(k+1)) * p^k
-    lands on every exponent divisible by p^k.  The final complex evaluation
-    must land within DFT_RESIDUAL_TOL of an integer.
+    G comes from gauss_closed alone.  With a = p^alpha * u, u a unit mod
+    p^j and j = beta - alpha, G depends on u at most through (u | p), so
+    each alpha < beta contributes G(p^alpha) times a sum over u: for a
+    rational G the Ramanujan sum c_{p^j}(m); for a ramified G, which
+    carries eps(p) sqrt(p), the twisted sum p^(j-1) (-m/p^(j-1) | p)
+    eps(p) sqrt(p) when p^(j-1) || m and 0 otherwise, so that the product
+    holds eps(p)^2 p = (-1 | p) p.  Both sums vanish for j > nu + 1,
+    nu = min(val_p(m), beta), which leaves at most nu + 2 exact integer
+    terms with alpha = beta (a = 0) among them.  The total must be
+    divisible by b.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
+    if p < 2:  # gauss_closed and valuation test larger p for primality
+        raise ValueError(f"{p} is not prime")
     b = p**beta
-    if b == 1:
-        return 1
-    profile = residue_norm_profile(ideal, b, limit)
-    coeffs = np.zeros(b, dtype=np.int64)
-    above = 0  # S_(k+1)
-    for k in range(beta, -1, -1):
-        q = p**k
-        s_k = sum(profile[m % q :: q])
-        coeffs[::q] += (s_k - above) * q
-        above = s_k
-    value = eval_complex(ExponentVector(b, coeffs)) / b
-    n = round(value.real)
-    if abs(value - n) > DFT_RESIDUAL_TOL:
-        raise ConsistencyError(
-            f"DFT reconstruction {value} is not within {DFT_RESIDUAL_TOL} of an integer"
-        )
+    nu = beta if m % b == 0 else valuation(m, p)
+    total = b * b  # a = 0
+    for j in range(1, min(nu + 1, beta) + 1):
+        g = gauss_closed(ideal, p ** (beta - j), p, beta)
+        q = p ** (j - 1)
+        if g.kind == "rational":  # the Ramanujan sum c_{p^j}(m)
+            weight = p * q - q if j <= nu else -q
+        elif j == nu + 1:  # the twisted sum, times the eps(p) sqrt(p) in g
+            weight = q * kronecker(-(m // q), p) * kronecker(-1, p) * p
+        else:
+            weight = 0
+        total += g.coeff * weight
+    n, r = divmod(total, b)
+    if r:
+        raise ConsistencyError(f"Gauss DFT total {total} is not divisible by {b}")
     return n

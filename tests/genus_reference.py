@@ -3,8 +3,8 @@
 The library reads a fingerprint off one value of the norm form and tests
 coprimality from the ideal's coordinates.  These are the paths it replaced,
 which work through ideal arithmetic instead: valuations by repeated exact
-division, and a coprime representative built as (lambda) * ideal^(-1).  The
-tests hold the library to them.
+division, a coprime representative built as (lambda) * ideal^(-1), and the
+Legendre symbol of its rational norm.  The tests hold the library to them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quadrep.arith import factorize, rational_legendre, valuation
+from quadrep.arith import factorize, is_prime, kronecker, valuation
 from quadrep.errors import RepresentativeSearchError
 from quadrep.ideals import (
     FracIdeal,
@@ -22,6 +22,21 @@ from quadrep.ideals import (
     principal_ideal,
 )
 from quadrep.quadfield import QuadElem
+
+
+def rational_legendre(x: int | Fraction, p: int) -> int:
+    """Legendre symbol of a p-unit rational at an odd prime p.
+
+    x = num/den with val_p(x) = 0 reduces to num * den^(-1) mod p, and the
+    symbol is taken of that residue class.  Rejects non-units at p.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"rational_legendre requires an odd prime, got {p}")
+    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    if num == 0 or num % p == 0 or den % p == 0:
+        raise ValueError(f"{x} is not a p-unit at p = {p}")
+    r = num * pow(den, -1, p) % p
+    return kronecker(r, p)
 
 
 def _is_integral(ideal: FracIdeal) -> bool:

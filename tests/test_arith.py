@@ -10,7 +10,6 @@ from quadrep.arith import (
     is_prime,
     kronecker,
     primes_upto,
-    rational_legendre,
     sqrt_mod,
     valuation,
     xgcd,
@@ -106,23 +105,6 @@ def test_valuation():
     assert valuation(-48, 2) == 4
     with pytest.raises(ValueError):
         valuation(0, 3)
-
-
-def test_rational_legendre():
-    assert rational_legendre(Fraction(1, 5), 3) == -1
-    assert rational_legendre(4, 7) == 1
-    assert rational_legendre(1, 11) == 1
-    assert rational_legendre(Fraction(-1, 1), 5) == 1
-    with pytest.raises(ValueError):
-        rational_legendre(Fraction(3, 1), 3)
-    # multiplicative where defined
-    for p in (3, 7, 11):
-        vals = [Fraction(2, 5), Fraction(-4, 13), Fraction(25)]
-        for x in vals:
-            for y in vals:
-                assert rational_legendre(x * y, p) == rational_legendre(
-                    x, p
-                ) * rational_legendre(y, p)
 
 
 def test_sqrt_mod_roundtrip():

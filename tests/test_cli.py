@@ -132,6 +132,50 @@ def test_oracle_is_one_check_after_the_series(capsys, monkeypatch):
     ]
 
 
+def test_oracle_past_the_bound_exits_2_before_the_series(capsys, monkeypatch):
+    # check_coefficients needs brute force at min(B, 60)*D: 60*173 > 10,000
+    import quadrep.cli as cli
+
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    calls = []
+    for name in ("series_lhs", "verify_theorem"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    argv = ["series", "--disc", "173", "--m", "1", "--s", "3", "--B", "100", "--oracle"]
+    for extra in ([], ["--verify"]):
+        code, out, err = run(capsys, argv + extra)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --oracle needs brute force at modulus 60*173 = 10380, past the "
+            "enumeration bound 10000 (QUADREP_MAX_B overrides)\n"
+        )
+    assert calls == []
+
+
+def test_oracle_within_the_bound(capsys, monkeypatch):
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    argv = ["series", "--m", "1", "--s", "3", "--B", "100", "--oracle", "--disc"]
+    assert run(capsys, argv + ["165"])[0] == 0
+    monkeypatch.setenv("QUADREP_MAX_B", "20000")
+    code, out, err = run(capsys, argv + ["173"])
+    assert code == 0, err
+    assert set(json.loads(out)) == {"lhs", "rhs", "residue_at_2"}
+
+
+@pytest.mark.parametrize("b", [20000, 3**9])
+def test_gauss_dft_needs_no_enumeration_bound(capsys, monkeypatch, b):
+    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
+    argv = ["repnum", "--disc", "21", "--m", "7", "--b", str(b), "--method"]
+    code, out, err = run(capsys, argv + ["gauss-dft"])
+    assert code == 0, err
+    _, formula, _ = run(capsys, argv + ["formula"])
+    assert out == formula
+    code, out, err = run(capsys, argv + ["brute"])
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: modulus {b} exceeds enumeration bound 10000 (QUADREP_MAX_B overrides)\n"
+    )
+
+
 def test_series_payload_keys(capsys):
     code, out, _ = run(
         capsys,

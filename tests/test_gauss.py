@@ -14,7 +14,7 @@ from quadrep.gauss import (
     gauss_closed,
     gauss_direct,
 )
-from quadrep.ideals import coprime_to, prime_above, residue_norm_profile, unit_ideal
+from quadrep.ideals import prime_above, residue_norm_profile, unit_ideal
 from quadrep.quadfield import Discriminant
 
 from conftest import fixture_ideals
@@ -125,22 +125,20 @@ def test_closed_edge_cases():
         gauss_closed(unit_ideal(d5), 1, 3, -1)
 
 
-def test_closed_ramified_needs_coprime_ideal():
-    (p3,) = prime_above(d21, 3)
-    with pytest.raises(ValueError, match="coprime"):
-        gauss_closed(p3.ideal, 1, 3, 1)
-
-
 def test_direct_matches_closed():
+    # every ideal has a closed form, the prime above each ramified p and
+    # its products included
     for disc in (d5, d21):
-        for ideal in fixture_ideals(disc):
+        ideals = fixture_ideals(disc)
+        for p in disc.primes:
+            (P,) = prime_above(disc, p)
+            ideals += [P.ideal, P.ideal * ideals[1]]
+        for ideal in ideals:
             for p, beta in PRIME_POWERS:
-                if disc.D % p == 0 and not coprime_to(ideal, p):
-                    continue
                 for a in (-2, 1, 3, p):
                     got = eval_complex(gauss_direct(ideal, a, p**beta))
                     want = gauss_closed(ideal, a, p, beta).as_complex()
-                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (ideal, a, p, beta)
 
 
 def test_classical_pinned():

@@ -29,6 +29,7 @@ from genus_reference import (
     coprime_genus_representative,
     fingerprint_by_representative,
     ideal_valuation,
+    rational_legendre,
 )
 from test_profile import SMALL_PRIMES, small_ideals
 
@@ -145,6 +146,23 @@ def test_ideal_valuation():
     assert ideal_valuation(P5.ideal * P5.ideal, P5) == 2
 
 
+def test_rational_legendre():
+    assert rational_legendre(Fraction(1, 5), 3) == -1
+    assert rational_legendre(4, 7) == 1
+    assert rational_legendre(1, 11) == 1
+    assert rational_legendre(Fraction(-1, 1), 5) == 1
+    with pytest.raises(ValueError):
+        rational_legendre(Fraction(3, 1), 3)
+    # multiplicative where defined
+    for p in (3, 7, 11):
+        vals = [Fraction(2, 5), Fraction(-4, 13), Fraction(25)]
+        for x in vals:
+            for y in vals:
+                assert rational_legendre(x * y, p) == rational_legendre(
+                    x, p
+                ) * rational_legendre(y, p)
+
+
 def test_coprime_to():
     p5 = prime_above(d21, 5)[0].ideal
     assert coprime_to(unit_ideal(d21), 12345)
@@ -172,8 +190,10 @@ def test_profile_scale_invariant():
 
 
 def test_profile_respects_enum_bound():
-    with pytest.raises(EnumerationBoundError, match="exceeds enumeration bound 100"):
+    with pytest.raises(EnumerationBoundError, match="exceeds enumeration bound 100") as exc:
         residue_norm_profile(unit_ideal(d5), 150, limit=100)
+    # the library reads no QUADREP_MAX_B, so its errors do not name it
+    assert "QUADREP_MAX_B" not in str(exc.value)
     assert len(residue_norm_profile(unit_ideal(d5), 150, limit=150)) == 150
     with pytest.raises(EnumerationBoundError):
         residue_norm_profile(unit_ideal(d5), DEFAULT_MAX_ENUM_B + 1)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrep import repnum
-from quadrep.ideals import parse_ideal, residue_norm_profile, unit_ideal
+from quadrep import ideals, repnum
+from quadrep.arith import factorize, is_prime
+from quadrep.ideals import parse_ideal, unit_ideal
 from quadrep.quadfield import Discriminant
 from quadrep.repnum import (
     g_rep,
@@ -113,42 +114,20 @@ def test_dft_matches_bruteforce():
                     assert got == want, (disc.D, ideal, m, p, beta)
 
 
-def dft_exponent_vector_reference(profile, m, b):
-    """counts[s] = #{(a, lambda) : a*(r - m) = s (mod b)}, r the norm residue of lambda.
+def test_dft_reads_no_profile(monkeypatch):
+    # the route sums closed Gauss sums: no residue profile, at any modulus
+    def refuse(*args):
+        raise AssertionError("residue_norm_profile called")
 
-    Loops over every a and every residue r, as the definition reads.
-    """
-    counts = [0] * b
-    for a in range(b):
-        for r, n in enumerate(profile):
-            counts[a * (r - m) % b] += n
-    return tuple(counts)
-
-
-DFT_VECTOR_CASES = [(2, e) for e in range(1, 7)] + [(3, e) for e in range(1, 5)] + [
-    (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1),
-]
-
-
-@pytest.mark.parametrize("p, beta", DFT_VECTOR_CASES)
-def test_dft_exponent_vector_matches_pair_count(monkeypatch, p, beta):
-    # the class sums must rebuild the exact pair count, not only its DFT value
-    seen = []
-    evaluate = repnum.eval_complex
-
-    def spy(vec):
-        seen.append(tuple(int(c) for c in vec.counts))
-        return evaluate(vec)
-
-    monkeypatch.setattr(repnum, "eval_complex", spy)
-    b = p**beta
+    monkeypatch.setattr(ideals, "residue_norm_profile", refuse)
+    monkeypatch.setattr(repnum, "residue_norm_profile", refuse)
     for ideal in (unit_ideal(d21), parse_ideal(d21, "prime:3,1")):
-        profile = residue_norm_profile(ideal, b)
-        for m in (0, 1, -1, p, p ** (beta - 1), 2 * b, 10**30, -(2**63) - 1):
-            seen.clear()
-            rep_from_gauss_dft(ideal, m, p, beta)
-            assert seen == [dft_exponent_vector_reference(profile, m, b)], (ideal, m, b)
-            assert sum(seen[0]) == b**3
+        for p, beta in ((2, 3), (3, 4), (5, 2), (7, 1), (2, 30), (10007, 1)):
+            for m in (0, 1, -1, p ** (beta - 1), 10**30):
+                got = rep_from_gauss_dft(ideal, m, p, beta)
+                assert got == rep_count(ideal, m, p**beta), (ideal, p, beta, m)
+    with pytest.raises(AssertionError, match="residue_norm_profile"):
+        rep_count_bruteforce(unit_ideal(d21), 1, 8)
 
 
 DFT_PRIME_POWERS = st.one_of(
@@ -182,8 +161,33 @@ def test_dft_property_three_routes_agree(ideal, case):
     assert dft == rep_count_bruteforce(ideal, m, b) == rep_count(ideal, m, b)
 
 
+@st.composite
+def composite_cases(draw):
+    """A composite b <= 2000, and m small, a power of a prime dividing b, or past int64."""
+    b = draw(st.integers(4, 2000).filter(lambda n: not is_prime(n)))
+    m = draw(st.one_of(
+        st.integers(-2 * b, 2 * b),
+        st.sampled_from(sorted({q for p, e in factorize(b) for q in (p ** (e - 1), p**e)})),
+        st.sampled_from((0, 10**30, -(10**30))),
+        st.integers(-8, 8).map(lambda j: 2**63 + j),
+        st.integers(-8, 8).map(lambda j: -(2**63) + j),
+    ))
+    return b, m
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(ideal=small_ideals(), case=composite_cases())
+def test_dft_product_property_at_composite_moduli(ideal, case):
+    b, m = case
+    dft = math.prod(rep_from_gauss_dft(ideal, m, p, e) for p, e in factorize(b))
+    assert dft == rep_count_bruteforce(ideal, m, b) == rep_count(ideal, m, b)
+
+
 def test_rep_count_validation():
     with pytest.raises(ValueError):
         rep_count(unit_ideal(d5), 1, 0)
     with pytest.raises(ValueError):
         rep_count_prime_power(d5, 2, -1, 1)
+    for p, beta in ((0, 2), (1, 3), (4, 2), (-3, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            rep_from_gauss_dft(unit_ideal(d5), 1, p, beta)
