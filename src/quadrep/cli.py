@@ -73,7 +73,6 @@ class _Parser(argparse.ArgumentParser):
 class CliConfig:
     max_enum_b: int = DEFAULT_MAX_ENUM_B
     default_b: int = 5000
-    tolerance: float = 1e-3
     output: str = "json"
 
     def __post_init__(self) -> None:
@@ -82,8 +81,6 @@ class CliConfig:
                 raise ValueError(f"{name} must be positive")
         if self.default_b > MAX_SERIES_B:
             raise ValueError(f"B must be at most {MAX_SERIES_B}, got {self.default_b}")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
         if self.output not in ("json", "csv", "plain"):
             raise ValueError(f"unknown output format {self.output!r}")
 
@@ -91,7 +88,6 @@ class CliConfig:
 _CONFIG_KEYS = {
     "max_enum_b": int,
     "B": int,
-    "tolerance": float,
     "output": str,
 }
 
@@ -324,9 +320,6 @@ def _cmd_series(args, cfg: CliConfig):
     if B > MAX_SERIES_B:
         raise UsageError(f"--B must be at most {MAX_SERIES_B}, got {B}")
     s = _finite(args.s, "--s")
-    tol = cfg.tolerance if args.tol is None else args.tol
-    if not 0 < tol < math.inf:  # the config's tolerance is checked in CliConfig
-        raise UsageError(f"--tol must be positive and finite, got {tol}")
     k = min(B, CHECK_B)
     if args.oracle and k * disc.D > cfg.max_enum_b:
         raise UsageError(
@@ -334,29 +327,25 @@ def _cmd_series(args, cfg: CliConfig):
             f"past the enumeration bound {cfg.max_enum_b}{_BOUND_HINT}"
         )
     if args.verify:
-        report = verify_theorem(ideal, args.m, s, B, tol)
-        if args.oracle:
-            check_coefficients(ideal, args.m, B, cfg.max_enum_b)
+        report = verify_theorem(ideal, args.m, s, B)
+        bad = report.mismatch
         payload = {
             "lhs": _series_eval_payload(report.lhs),
             "rhs": report.rhs,
-            "factors": [
-                {"p": f.p, "lhs": f.lhs, "rhs": f.rhs, "ok": f.ok}
-                for f in report.factors
-            ],
+            "budget": report.budget,
+            "mismatch": None if bad is None else dict(zip(("n", "lhs", "rhs"), bad)),
             "pass": report.passed,
         }
-        return payload, 0 if report.passed else 3
-    fp = genus_fingerprint(ideal)
-    lhs = series_lhs(ideal, args.m, s, B)
+    else:
+        fp = genus_fingerprint(ideal)
+        payload = {
+            "lhs": _series_eval_payload(series_lhs(ideal, args.m, s, B)),
+            "rhs": series_rhs(fp, args.m, s, B),
+            "residue_at_2": residue_at_2(fp, args.m),
+        }
     if args.oracle:
         check_coefficients(ideal, args.m, B, cfg.max_enum_b)
-    payload = {
-        "lhs": _series_eval_payload(lhs),
-        "rhs": series_rhs(fp, args.m, s, B),
-        "residue_at_2": residue_at_2(fp, args.m),
-    }
-    return payload, 0
+    return payload, 0 if payload.get("pass", True) else 3
 
 
 def _cmd_genus(args, cfg: CliConfig):
@@ -469,7 +458,7 @@ def _suite_sigma(limit: int):
 def _suite_theorem(limit: int):
     for D, name, rep in _reps(5, 21):
         for m in (0, 1, 2, 3, 4):
-            report = verify_theorem(rep, m, 4.0, 2000, 1e-3)
+            report = verify_theorem(rep, m, 4.0, 2000)
             label = f"theorem D={D} ideal={name} m={m} err={report.abs_err:.3e}"
             yield label, report.passed
 
@@ -554,8 +543,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--B", type=int, default=None, help=f"truncation point, at most {MAX_SERIES_B}"
     )
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--verify", action="store_true", help="factor-by-factor report")
+    p.add_argument(
+        "--verify", action="store_true",
+        help="check the identity exactly at every prime and prime power up to B "
+        "and |lhs - rhs| within its certified budget (exit 3 if not); m = 0 "
+        "needs D B^(1-s) < (s-2)/(s-1), else exit 1",
+    )
     p.add_argument(
         "--oracle", action="store_true",
         help="check the coefficients g(b), b <= 60, against brute force "

@@ -9,14 +9,17 @@ evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) (the
 m = 0 case degenerates to zeta(s-1) L(s-1, chi_D) / L(s, chi_D)) from one
 vector n^(-s), n <= B, which the truncated zeta and L sums all reuse.  The
 L sums read chi_D(1..B) from one period, a product of Legendre tables
-(chi_table), one per ramified prime, tiled to length B.  verify_theorem
-builds chi_D(0..B) and n^(-s) once for both sides: the sieve reads chi_D
-at the primes, the coefficient sum writes its products over the
-coefficients, and the closed side then consumes n^(-s) in place.  Both
-sides converge for s > 2 and the identity has a simple pole at s = 2 with
-an explicit residue, a ratio of L(1, chi_D), L(2, chi_D) and the divisor
-sum at -1: residue_at_2 takes both L-values from their finite closed forms
-over one period of chi_D when D <= B, and from truncated sums otherwise.
+(chi_table), one per ramified prime, tiled to length B.
+
+verify_theorem checks the identity exactly on the coefficients at every
+prime and prime power up to B, then holds the float sums to a budget
+certified from the bounds stated in this module (Davenport, Multiplicative
+Number Theory, ch. 1 and 6).  It builds chi_D(0..B), the primes and n^(-s)
+once for both sides.  Both sides converge for s > 2 and the identity has a
+simple pole at s = 2 with an explicit residue, a ratio of L(1, chi_D),
+L(2, chi_D) and the divisor sum at -1: residue_at_2 takes both L-values
+from their finite closed forms over one period of chi_D when
+D <= DEFAULT_RESIDUE_B, and from truncated sums otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import kronecker, primes_upto, valuation
-from .divisor import _local_factor, sigma_def
+from .divisor import _weight, sigma_def
 from .errors import ConsistencyError
 from .ideals import (
     DEFAULT_MAX_ENUM_B,
@@ -63,11 +66,6 @@ class SeriesEval:
             raise ValueError("tail bound must be nonnegative")
 
 
-def _zeta_l_factor(p: int, chi: int, q: float) -> float:
-    """The local factor (p - chi q)/(p (1 - q)) of zeta(s-1)/L(s, chi_D), q = p^(1-s)."""
-    return (p - chi * q) / (p * (1 - q))
-
-
 def euler_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
     """The Euler factor at p of the representation side, q = p^(1-s):
 
@@ -80,12 +78,9 @@ def euler_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
     """
     if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
-    return _euler_factor(fp, m, p, float(p) ** (1 - s), kronecker(fp.disc.D, p))
-
-
-def _euler_factor(fp: GenusFingerprint, m: int, p: int, q: float, chi: int) -> float:
-    """euler_factor from q = p^(1-s) and chi = chi_D(p)."""
-    first = _zeta_l_factor(p, chi, q)
+    q = float(p) ** (1 - s)
+    chi = kronecker(fp.disc.D, p)
+    first = (p - chi * q) / (p * (1 - q))
     t = chi * q
     if m == 0:
         return first / (1 - t)
@@ -221,13 +216,14 @@ def _by_valuation(out: np.ndarray, p: int, values: list[int]) -> np.ndarray:
 
 
 def _unramified_product(
-    disc: Discriminant, m: int, B: int, chi: np.ndarray, fill: int
+    disc: Discriminant, m: int, B: int, chi: np.ndarray, primes: np.ndarray, fill: int
 ) -> np.ndarray:
     """fill times the closed counts at p^e || b over unramified p, b = 0..B.
 
-    `chi` holds chi_D(0..B).  Away from the primes dividing m the count at
-    p^e depends only on chi_D(p), e and whether m = 0 (unramified_count);
-    at p | m it comes from rep_count_prime_power.  Primes up to sqrt(B)
+    `chi` holds chi_D(0..B) and `primes` the primes up to B.  Away from
+    the primes dividing m the count at p^e depends only on chi_D(p), e and
+    whether m = 0 (unramified_count); at p | m it comes from
+    rep_count_prime_power.  Primes up to sqrt(B)
     multiply their multiples one prime at a time.  A larger prime divides
     each b <= B at most once and b has at most one of them, so the
     multiples k p <= B of distinct large primes never coincide: they are
@@ -236,7 +232,6 @@ def _unramified_product(
     product is at most b d(b); the caller's bound on B keeps fill times
     that inside int64.
     """
-    primes = primes_upto(B)
     chi = chi[primes]
     primes, chi = primes[chi != 0], chi[chi != 0]
     divides_m = _prime_divisors(m, primes) if m else set()
@@ -298,13 +293,13 @@ def series_coefficients(ideal: FracIdeal, m: int, B: int) -> np.ndarray:
     B^(3/2), and a B that could pass 2^63 is a ValueError.
     check_coefficients holds the first 60 against brute-force enumeration.
     """
-    return _coefficients(ideal, m, B, None)
+    return _coefficients(ideal, m, B, None, None)
 
 
 def _coefficients(
-    ideal: FracIdeal, m: int, B: int, chi: np.ndarray | None
+    ideal: FracIdeal, m: int, B: int, chi: np.ndarray | None, primes: np.ndarray | None
 ) -> np.ndarray:
-    """series_coefficients, reading chi_D(0..B) from `chi` if it is given."""
+    """series_coefficients, given chi_D(0..B) and the primes up to B or None."""
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     disc = ideal.disc
@@ -331,7 +326,9 @@ def _coefficients(
     nonzero = all(r[0] for r in ramified.values())
     if nonzero:
         g = _unramified_product(
-            disc, m, B, _chi_upto(disc, B) if chi is None else chi,
+            disc, m, B,
+            _chi_upto(disc, B) if chi is None else chi,
+            primes_upto(B) if primes is None else primes,
             math.prod(r[0] for r in ramified.values()),
         )
         for p, r in ramified.items():
@@ -444,22 +441,22 @@ def _rhs_sum(
     return abs(m) ** (-s / 2) * z * sigma / l_s
 
 
-def residue_at_2(fp: GenusFingerprint, m: int, B: int = DEFAULT_RESIDUE_B) -> float:
+def residue_at_2(fp: GenusFingerprint, m: int) -> float:
     """Residue of the series at its simple pole s = 2.
 
     For m != 0 this is |m|^(-1) sigma(m, -1) / L(2, chi_D), and 0.0 at once
     when the divisor sum vanishes; for m = 0 it is L(1, chi_D) / L(2, chi_D).
-    When D <= B both L-values come from their closed forms over one period
-    of chi_D (_l1_closed, _l2_closed): O(D) work, correct to rounding
-    (about 1e-16 relative at D <= 4389).  Otherwise they are partial sums
-    to B terms (l_truncated), whose error is not reported: at the default
-    B and D = 48,612,265, L(1) is off by about 1.5e-3 (3.5e-4 relative).
+    When D <= B = DEFAULT_RESIDUE_B both L-values come from their closed
+    forms over one period of chi_D (_l1_closed, _l2_closed): O(D) work,
+    correct to rounding (about 1e-16 relative at D <= 4389).  Otherwise they
+    are partial sums to B terms (l_truncated), whose error is not reported:
+    at D = 48,612,265, L(1) is off by about 1.5e-3 (3.5e-4 relative).
     """
     if m:
         sigma = sigma_def(fp, m, -1.0)
         if sigma == 0.0:
             return 0.0
-    disc = fp.disc
+    disc, B = fp.disc, DEFAULT_RESIDUE_B
     closed = disc.D <= B
     chi = chi_table(disc) if closed else None
     l2 = _l2_closed(chi) if closed else l_truncated(disc, 2, B).value
@@ -469,67 +466,113 @@ def residue_at_2(fp: GenusFingerprint, m: int, B: int = DEFAULT_RESIDUE_B) -> fl
 
 
 @dataclass(frozen=True)
-class FactorCheck:
-    """One prime's Euler factor on each side of the identity."""
-
-    p: int
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class TheoremReport:
+    """Both sides, |lhs - rhs| and its certified budget, and the first exact
+    mismatch (n, (chi_D * g)(n), n W(n)) of _identity_mismatch, or None."""
+
     lhs: SeriesEval
     rhs: float
-    factors: tuple[FactorCheck, ...]
-    tol: float
+    budget: float
     abs_err: float
+    mismatch: tuple[int, int, int] | None
     passed: bool
 
 
-def verify_theorem(
-    ideal: FracIdeal, m: int, s: float, B: int, tol: float = 1e-3
-) -> TheoremReport:
-    """Compare both sides of the series identity, globally and factor by factor.
+def _identity_mismatch(
+    fp: GenusFingerprint, m: int, g: np.ndarray,
+    chi: np.ndarray | None, primes: np.ndarray | None,
+) -> tuple[int, int, int] | None:
+    """The least checked n where g = g(1..B) breaks the identity, or None.
 
-    The global check is |lhs - rhs| <= tol * max(1, |rhs|), for a tol in
-    (0, inf).  For each prime p <= 50, euler_factor is compared with the
-    closed side's local factor, _zeta_l_factor times the divisor sum's
-    factor at 1 - s, both from one chi_D(p).  Both sides share _zeta_l_factor
-    and, at a ramified p, evaluate the same 1 + ramified_sign q^nu,
-    q = p^(1-s); what the check compares is, at an unramified p with m != 0,
-    euler_factor's closed geometric sum with the divisor factor's
-    term-by-term sum.
+    Times L(s, chi_D) the identity reads (chi_D * g)(n) = n W(n) for all n,
+    W(n) the sum of f(d) (divisor._weight) over d | gcd(n, m), or of chi_D(d)
+    over d | n at m = 0.  It is checked at n = 1, at every prime p <= B as
+    one vector and at every p^e <= B with p <= sqrt(B).  When the divisor
+    sum vanishes (chi is None) so does every f(d), and then every g(n).
+    """
+    if chi is None:
+        n = np.flatnonzero(g)[:1].tolist()
+        return (n[0] + 1, int(g[n[0]]), 0) if n else None
+    f1 = _weight(fp, m, 1) if m else 1
+    found = [] if g[0] == f1 else [(1, int(g[0]), f1)]
+    c = chi[primes].astype(np.int64)
+    conv = g[primes - 1] + c * g[0]
+    side = primes * (f1 + (0 if m else c))
+    for p in _prime_divisors(m, primes) if m else ():
+        side[np.searchsorted(primes, p)] += p * _weight(fp, m, p)
+    for i in np.flatnonzero(conv != side)[:1].tolist():
+        found.append((int(primes[i]), int(conv[i]), int(side[i])))
+    # every p^e <= B with p <= sqrt(B), by e:
+    # (chi_D * g)(p^e) = g(p^e) + chi_D(p) (chi_D * g)(p^(e-1))
+    small = primes[: np.searchsorted(primes, math.isqrt(g.size), side="right")]
+    for p, c in zip(small.tolist(), chi[small].tolist()):
+        conv, w, t, q = int(g[0]), f1, 1, p
+        while q <= g.size:
+            conv, t = int(g[q - 1]) + c * conv, t * c
+            w += t if m == 0 else (_weight(fp, m, q) if m % q == 0 else 0)
+            if conv != q * w:
+                found.append((q, conv, q * w))
+                break
+            q *= p
+    return min(found, default=None)
+
+
+def verify_theorem(ideal: FracIdeal, m: int, s: float, B: int) -> TheoremReport:
+    """Check the identity exactly on the coefficients (_identity_mismatch,
+    before the lhs sum overwrites them), then |lhs - rhs| <= budget, the sum
+    of three certified parts (u = 2^-53):
+
+    - lhs.tail_bound;
+    - |rhs| (dZ + dL + dX + dZ dL + dZ dX + dL dX + dZ dL dX), summed as
+      written since (1 + dZ)(1 + dL)(1 + dX) - 1 rounds small terms away.
+      The zeta(s-1) estimate is >= 1 and off by <= dZ = B^(1-s).  The L(s)
+      sum is off by the Abel bound D B^(-s), and |L(s, chi_D)| >=
+      zeta(2s)/zeta(s) > (s-1)/s, so dL = D B^(-s) s/(s-1).  At m = 0 the
+      L(s-1) sum is off by eps = D B^(1-s) and at least (s-2)/(s-1) - eps,
+      so dX = eps/((s-2)/(s-1) - eps); else dX = 0;
+    - (B + 8) u per float sum, a sum of n terms being within (n - 1) u of
+      their magnitudes (Higham, Accuracy and Stability of Numerical
+      Algorithms, ch. 4) and 8 covering the per-term roundings, times |lhs|
+      for the nonnegative coefficients, |rhs| for zeta, and |rhs| times the
+      condition zeta(s)/|L(s)| <= (s/(s-1))^2 for L(s) and
+      ((s-1)/(s-2))/((s-2)/(s-1) - eps) for L(s-1).
+
+    At m = 0 with eps >= (s-2)/(s-1) nothing bounds L(s-1, chi_D) from
+    below: a ValueError.
     """
     _check_series_args(s, B)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     disc = ideal.disc
+    dz = float(B) ** (1 - s)
+    dl = disc.D * float(B) ** -s / (1 - 1 / s)
+    dx = kx = 0.0
+    if m == 0:
+        eps, floor = disc.D * dz, 1 - 1 / (s - 1)
+        if eps >= floor:
+            raise ValueError(
+                f"L(s-1, chi_D) is not certified at B = {B}: "
+                f"D B^(1-s) = {eps:.3g} >= (s-2)/(s-1) = {floor:.3g}"
+            )
+        dx, kx = eps / (floor - eps), 1 / floor / (floor - eps)
     fp = genus_fingerprint(ideal)
-    # series_lhs and series_rhs, with one chi_D(0..B) for the sieve and the
-    # L sums and one w = n^(-s) that the coefficient sum reads and the
-    # closed side then consumes; a vanishing divisor sum needs neither
+    # one chi_D(0..B) and one list of primes for the sieve, the exact check
+    # and the L sums, and one w = n^(-s) that the coefficient sum reads and
+    # the closed side then consumes; a vanishing divisor sum needs none
     sigma = sigma_def(fp, m, 1 - s) if m else None
     summed = sigma != 0.0
     chi = _chi_upto(disc, B) if summed else None
-    g = _coefficients(ideal, m, B, chi)
+    primes = primes_upto(B) if summed else None
+    g = _coefficients(ideal, m, B, chi, primes)
+    mismatch = _identity_mismatch(fp, m, g, chi, primes)
     w = _powers(s, B) if summed else None
     lhs = _lhs_sum(disc.omega, g, s, B, w)
     del g  # the products in its buffer are summed: room for the closed side
     rhs = 0.0
     if summed:
         rhs = _rhs_sum(chi, np.arange(1, B + 1, dtype=np.float64), w, m, sigma, s, B)
-    factors = []
-    for p in primes_upto(50).tolist():
-        q = float(p) ** (1 - s)
-        chi = kronecker(disc.D, p)
-        lf = _euler_factor(fp, m, p, q, chi)
-        sig = 1 / (1 - chi * q) if m == 0 else _local_factor(fp, m, p, 1 - s, chi)
-        rf = _zeta_l_factor(p, chi, q) * sig
-        factors.append(
-            FactorCheck(p, lf, rf, abs(lf - rf) <= tol * max(1.0, abs(rf)))
-        )
+    rel = dz + dl + dx + dz * dl + dz * dx + dl * dx + dz * dl * dx
+    kl = 1 / (1 - 1 / s) ** 2  # zeta(s)/|L(s)|
+    rounding = (B + 8) * 2.0**-53 * (abs(lhs.value) + abs(rhs) * (1 + kl + kx))
+    budget = lhs.tail_bound + rel * abs(rhs) + rounding
     err = abs(lhs.value - rhs)
-    passed = err <= tol * max(1.0, abs(rhs)) and all(f.ok for f in factors)
-    return TheoremReport(lhs, rhs, tuple(factors), tol, err, passed)
+    passed = mismatch is None and err <= budget
+    return TheoremReport(lhs, rhs, budget, err, mismatch, passed)

@@ -57,48 +57,45 @@ def _check_m(m: int) -> None:
         raise ValueError("sigma is defined for nonzero m only")
 
 
+def _weight(fp: GenusFingerprint, m: int, d: int) -> int:
+    """The weight f(d) of d | m in the defining sum: the product over the
+    ramified p of chi_{D(p)}(d) + sign_p * chi_{D(p)}(m/d)."""
+    f = 1
+    for p, sign in zip(fp.disc.primes, fp.signs):
+        dp = prime_discriminant(fp.disc, p)
+        f *= kronecker(dp, d) + sign * kronecker(dp, m // d)
+        if f == 0:
+            break
+    return f
+
+
 def sigma_def(fp: GenusFingerprint, m: int, s: float) -> float:
     """The defining divisor sum."""
     _check_m(m)
-    disc = fp.disc
-    dps = [prime_discriminant(disc, p) for p in disc.primes]
     total = 0.0
     for d in divisors(m):
-        f = 1
-        for dp, sign in zip(dps, fp.signs):
-            f *= kronecker(dp, d) + sign * kronecker(dp, m // d)
-            if f == 0:
-                break
+        f = _weight(fp, m, d)
         if f:
             total += f * (d * d / abs(m)) ** (s / 2)
     return math.sqrt(abs(m)) * total
 
 
-def _local_factor(
-    fp: GenusFingerprint, m: int, p: int, s: float, chi: int, centred: bool = False
-) -> float:
-    """The Euler factor at p, chi = chi_D(p), as a sum over k <= nu = val_p(m).
+def _local_factor(fp: GenusFingerprint, m: int, p: int, s: float, chi: int) -> float:
+    """The Euler factor at p, chi = chi_D(p), as a sum over k <= nu = val_p(m),
+    centred: times p^(-nu s/2).
 
     The weight of p^(ks) is chi^k, so at p not dividing D the factor is the
     geometric sum of (chi p^s)^k.  At a ramified p chi = 0 leaves the k = 0
     term, and the sign from ramified_sign joins the k = nu term: the factor
-    is 1 + sign * p^(nu s).  The terms are added one by one, so no power
-    beyond the largest term is formed; centred multiplies the sum by
-    p^(-nu s/2), and its terms are then at most p^(nu |s|/2), the size of
-    the centred factor itself.
+    is 1 + sign * p^(nu s).  The terms are added one by one, each already
+    centred, so they are at most p^(nu |s|/2), the size of the centred
+    factor itself.
     """
     nu = valuation(m, p)
     weights = [chi**k for k in range(nu + 1)]
     if chi == 0:
         weights[nu] += ramified_sign(fp.disc, p, m, fp.sign(p))
-    centre = nu / 2 if centred else 0
-    return sum(w * float(p) ** ((k - centre) * s) for k, w in enumerate(weights) if w)
-
-
-def sigma_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
-    """The Euler factor at p of the divisor sum, for m != 0 (_local_factor)."""
-    _check_m(m)
-    return _local_factor(fp, m, p, s, kronecker(fp.disc.D, p))
+    return sum(w * float(p) ** ((k - nu / 2) * s) for k, w in enumerate(weights) if w)
 
 
 def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
@@ -111,10 +108,10 @@ def sigma_euler(fp: GenusFingerprint, m: int, s: float) -> float:
     disc = fp.disc
     value = 1.0
     for p in disc.primes:
-        value *= _local_factor(fp, m, p, s, 0, True)
+        value *= _local_factor(fp, m, p, s, 0)
     for p, _ in factorize(m):
         if disc.D % p != 0:
-            value *= _local_factor(fp, m, p, s, kronecker(disc.D, p), True)
+            value *= _local_factor(fp, m, p, s, kronecker(disc.D, p))
     return math.sqrt(abs(m)) * value
 
 
@@ -131,7 +128,7 @@ def sigma_decomp(fp: GenusFingerprint, m: int, s: float) -> float:
     unram = 1.0
     for p in fac:
         if disc.D % p != 0:
-            unram *= _local_factor(fp, m, p, s, kronecker(disc.D, p), True)
+            unram *= _local_factor(fp, m, p, s, kronecker(disc.D, p))
     # the ramified part m_D1 * m_D2 of m is the same for every pair
     m_ram = math.prod(p ** fac.get(p, 0) for p in disc.primes)
     fp_by_p = fp.as_dict()

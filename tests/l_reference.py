@@ -1,4 +1,5 @@
-"""mpmath reference for Dirichlet L-values and the residue at s = 2.
+"""mpmath reference for Dirichlet L-values, the closed side of the series
+identity and its residue at s = 2.
 
 L(s, chi_D) is a finite sum of Hurwitz zeta values,
 L(s, chi) = D^(-s) sum over 0 < a < D of chi(a) zeta(s, a/D), and at s = 1
@@ -36,21 +37,38 @@ def l_value(D: int, s: float) -> mpmath.mpf:
         return total / mpmath.mpf(D) ** s
 
 
+def _weights(fp: GenusFingerprint, m: int):
+    """(d, f(d)) for d | m, f(d) the product over ramified p of
+    chi_p(d) + sign_p chi_p(m/d)."""
+    dps = [prime_discriminant(fp.disc, p) for p in fp.disc.primes]
+    for d in divisors(m):
+        f = 1
+        for dp, sign in zip(dps, fp.signs):
+            f *= kronecker(dp, d) + sign * kronecker(dp, m // d)
+        yield d, f
+
+
 def residue(fp: GenusFingerprint, m: int) -> mpmath.mpf:
     """The residue at s = 2: L(1)/L(2) for m = 0, else |m|^(-1) sigma(m, -1)/L(2).
 
-    |m|^(-1) sigma(m, -1) is the exact rational sum over d | m of f(d)/d,
-    with f(d) the product over ramified p of chi_p(d) + sign_p chi_p(m/d).
+    |m|^(-1) sigma(m, -1) is the exact rational sum over d | m of f(d)/d.
     """
     D = fp.disc.D
     with mpmath.workdps(DIGITS):
         if m == 0:
             return l_value(D, 1) / l_value(D, 2)
-        dps = [prime_discriminant(fp.disc, p) for p in fp.disc.primes]
-        total = Fraction(0)
-        for d in divisors(m):
-            f = 1
-            for dp, sign in zip(dps, fp.signs):
-                f *= kronecker(dp, d) + sign * kronecker(dp, m // d)
-            total += Fraction(f, d)
+        total = sum(Fraction(f, d) for d, f in _weights(fp, m))
         return mpmath.mpf(total.numerator) / total.denominator / l_value(D, 2)
+
+
+def closed_side(fp: GenusFingerprint, m: int, s: float) -> mpmath.mpf:
+    """zeta(s-1) times the sum over d | m of f(d) d^(1-s), over L(s, chi_D);
+    zeta(s-1) L(s-1, chi_D) / L(s, chi_D) at m = 0.  s > 2."""
+    D = fp.disc.D
+    with mpmath.workdps(DIGITS):
+        s1 = mpmath.mpf(s) - 1
+        if m == 0:
+            top = l_value(D, s1)
+        else:
+            top = mpmath.fsum(f * mpmath.mpf(d) ** -s1 for d, f in _weights(fp, m))
+        return mpmath.zeta(s1) * top / l_value(D, s)

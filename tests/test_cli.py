@@ -65,44 +65,44 @@ def test_series_verify_passes(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["pass"] is True
+    assert list(payload) == ["lhs", "rhs", "budget", "mismatch", "pass"]
+    assert payload["pass"] is True and payload["mismatch"] is None
     assert payload["lhs"]["truncation"] == 2000
-    assert payload["factors"][0]["p"] == 2
-    assert all(f["ok"] for f in payload["factors"])
+    assert abs(payload["lhs"]["value"] - payload["rhs"]) <= payload["budget"]
 
 
-def test_series_verify_failure_exits_3(capsys):
-    code, out, _ = run(
-        capsys,
-        ["series", "--disc", "5", "--m", "1", "--s", "3", "--B", "10",
-         "--verify", "--tol", "1e-12"],
-    )
+def test_series_verify_at_short_b_passes(capsys):
+    # the sides are 0.28 apart at B = 10, inside the certified budget of 2.71
+    argv = ["series", "--disc", "5", "--m", "1", "--s", "3", "--B", "10", "--verify"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True and 2.70 < payload["budget"] < 2.72
+
+
+def test_series_verify_failure_exits_3(capsys, monkeypatch):
+    # a count off by one at 11^2: exit 3, the mismatch named with both sides
+    import quadrep.dirichlet as dirichlet
+    from quadrep.repnum import unramified_count
+
+    def bumped(chi, p, beta, nu):
+        return unramified_count(chi, p, beta, nu) + (beta == 2 and p == 11)
+
+    monkeypatch.setattr(dirichlet, "unramified_count", bumped)
+    argv = ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "2000", "--verify"]
+    code, out, _ = run(capsys, argv)
     assert code == 3
-    assert json.loads(out)["pass"] is False
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["mismatch"]["n"] == 121 and payload["mismatch"]["rhs"] == 242
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_tol_outside_its_domain_exits_2(tmp_path, capsys, tol):
-    # --tol is refused where the config key tolerance is: exit 2, one line
-    argv = ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "100", "--verify"]
-    code, out, err = run(capsys, argv + ["--tol", tol])
-    assert (code, out) == (2, "")
-    assert err == f"error: --tol must be positive and finite, got {float(tol)}\n"
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text(f"tolerance={tol}\n")
-    code, out, err = run(capsys, argv + ["--config", str(cfg)])
-    assert (code, out) == (2, "")
-    assert err == "error: tolerance must be positive and finite\n"
-
-
-def test_subnormal_tol_is_accepted(capsys):
-    code, out, _ = run(
-        capsys,
-        ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "100",
-         "--verify", "--tol", "1e-320"],
-    )
-    assert code == 3
-    assert json.loads(out)["pass"] is False
+def test_series_verify_uncertified_exits_1(capsys):
+    # m = 0: D B^(1-s) >= (s-2)/(s-1) leaves L(s-1, chi_D) without a bound
+    argv = ["series", "--disc", "5", "--m", "0", "--s", "2.1", "--B", "10", "--verify"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not certified" in err and err.count("\n") == 1
 
 
 def test_oracle_is_one_check_after_the_series(capsys, monkeypatch):
@@ -127,7 +127,7 @@ def test_oracle_is_one_check_after_the_series(capsys, monkeypatch):
     calls.clear()
     assert run(capsys, argv + ["--verify"])[0] == 0
     assert calls == [
-        ("verify_theorem", (1, 4.0, 200, 1e-3)),
+        ("verify_theorem", (1, 4.0, 200)),
         ("check_coefficients", (1, 200, 10_000)),
     ]
 
@@ -208,7 +208,7 @@ def test_bad_disc_exits_2(capsys):
         ["ideal", "--disc", "5", "--op", "norm", "--ideal", "frac:1/0:1,1"],
         ["ideal", "--disc", "5", "--op", "primes-above", "--p", "4"],
         ["series", "--disc", "5", "--m", "1", "--s", "nan"],
-        ["series", "--disc", "5", "--m", "1", "--s", "4", "--tol", "inf"],
+        ["series", "--disc", "5", "--m", "1", "--s", "4", "--B", "0"],
         ["sigma", "--disc", "5", "--m", "1", "--s", "inf"],
     ],
 )
@@ -517,11 +517,14 @@ def test_load_config_rejects_garbage(tmp_path):
     from quadrep.cli import UsageError
 
     path = tmp_path / "c.cfg"
-    path.write_text("tolerance\n")
+    path.write_text("max_enum_b\n")
     with pytest.raises(UsageError):
         load_config(str(path))
-    path.write_text("tolerance=abc\n")
+    path.write_text("max_enum_b=abc\n")
     with pytest.raises(UsageError):
+        load_config(str(path))
+    path.write_text("tolerance=1e-3\n")
+    with pytest.raises(UsageError, match="unknown config key"):
         load_config(str(path))
 
 

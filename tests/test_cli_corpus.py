@@ -94,7 +94,8 @@ def test_corpus_covers_every_subcommand():
     assert seen == {"repnum", "gauss", "sigma", "series", "genus", "ideal", "verify"}
     flags = {flag for c in CASES for flag in c["argv"]}
     assert {"--verify", "--oracle", "csv", "plain"} <= flags
-    assert {c["code"] for c in CASES} == {0, 1, 2, 3}
+    # exit 3 needs a defect in the code under test: test_cli.py patches one in
+    assert {c["code"] for c in CASES} == {0, 1, 2}
 
 
 if __name__ == "__main__":

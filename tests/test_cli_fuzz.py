@@ -37,7 +37,7 @@ OPTIONAL = {
     "repnum": ("--ideal", "--method"),
     "gauss": ("--ideal", "--classical"),
     "sigma": ("--ideal", "--form"),
-    "series": ("--ideal", "--B", "--tol", "--verify", "--oracle"),
+    "series": ("--ideal", "--B", "--verify", "--oracle"),
     "genus": ("--ideal",),
     "ideal": ("--ideal", "--other", "--p"),
     "verify": ("--suite",),
@@ -59,7 +59,7 @@ JUNK = ("", " ", "-", "--", "x", "1e3", "0x10", "1_000", "--b=5", "é", "a\nb", 
 DISCS = ("5", "13", "17", "21", "33", "105", "1365") + INTS
 POOLS = {
     "--disc": DISCS, "--m": INTS, "--b": INTS, "--a": INTS, "--B": INTS, "--p": INTS,
-    "--s": FLOATS, "--tol": FLOATS,
+    "--s": FLOATS,
     "--ideal": IDEALS, "--other": IDEALS,
     "--method": ("brute", "formula", "gauss-dft", "all"),
     "--form": ("def", "decomp", "euler", "all"),

@@ -32,7 +32,7 @@ from quadrep.ideals import (
     unit_ideal,
 )
 from quadrep.quadfield import Discriminant
-from quadrep.repnum import g_rep, rep_count_prime_power
+from quadrep.repnum import g_rep, rep_count_prime_power, unramified_count
 
 import l_reference
 from conftest import VALID_DISCS, fixture_ideals
@@ -268,18 +268,20 @@ def test_l_truncated_tail_bound_covers_error():
 
 
 def test_residue_past_b_is_truncated(monkeypatch):
-    # D > B: the partial sums to B terms, exactly as l_truncated gives them
-    disc = Discriminant(105)
-    fp, B = fp_unit(disc), 100
-    l1, l2 = l_truncated(disc, 1.0, B).value, l_truncated(disc, 2.0, B).value
-    assert residue_at_2(fp, 0, B) == l1 / l2
-    assert residue_at_2(fp, 1, B) == sigma_def(fp, 1, -1.0) / l2
     # at the default B, D = 48,612,265 keeps the values the truncated sums gave
     big = fp_unit(Discriminant(48_612_265))
     assert residue_at_2(big, 0) == 2.790967866943613
     assert residue_at_2(big, 4) == 72.32931630244225
-    monkeypatch.setattr(dirichlet, "_l2_closed", None)
-    assert residue_at_2(big, 1) == 41.33103788710986
+    with monkeypatch.context() as patch:
+        patch.setattr(dirichlet, "_l2_closed", None)
+        assert residue_at_2(big, 1) == 41.33103788710986
+    # D > B: the partial sums to B terms, exactly as l_truncated gives them
+    disc = Discriminant(105)
+    fp, B = fp_unit(disc), 100
+    monkeypatch.setattr(dirichlet, "DEFAULT_RESIDUE_B", B)
+    l1, l2 = l_truncated(disc, 1.0, B).value, l_truncated(disc, 2.0, B).value
+    assert residue_at_2(fp, 0) == l1 / l2
+    assert residue_at_2(fp, 1) == sigma_def(fp, 1, -1.0) / l2
 
 
 def test_vanishing_residue_builds_no_table(monkeypatch):
@@ -315,21 +317,69 @@ def test_residue_by_richardson_extrapolation():
 
 def test_verify_theorem_report():
     rep = verify_theorem(unit_ideal(d5), 1, 4.0, 5000)
-    assert rep.passed
-    assert rep.abs_err <= rep.tol * max(1.0, abs(rep.rhs))
-    assert all(fc.ok for fc in rep.factors)
-    assert [fc.p for fc in rep.factors][:4] == [2, 3, 5, 7]
-    rep3 = verify_theorem(unit_ideal(d5), 1, 3.0, 2000)
-    p2 = next(fc for fc in rep3.factors if fc.p == 2)
-    assert abs(p2.lhs - 1.5) < 1e-12 and abs(p2.rhs - 1.5) < 1e-12
+    assert rep.passed and rep.mismatch is None
+    assert rep.abs_err == abs(rep.lhs.value - rep.rhs) <= rep.budget
+    # at s = 4 the lhs tail is nearly all of the budget
+    assert rep.lhs.tail_bound < rep.budget < 1.001 * rep.lhs.tail_bound
 
 
-def test_verify_theorem_tolerance_domain():
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            verify_theorem(unit_ideal(d5), 1, 4.0, 100, tol)
-    rep = verify_theorem(unit_ideal(d5), 1, 4.0, 100, 1e-320)
-    assert rep.tol == 1e-320 and not rep.passed
+def test_verify_theorem_names_a_wrong_prime_power_count(monkeypatch):
+    # a count off by one at 11^2 alone: the float sums agree within their
+    # budget, the exact check names n = 121 with both sides
+    def bumped(chi, p, beta, nu):
+        return unramified_count(chi, p, beta, nu) + (beta == 2 and p == 11)
+
+    monkeypatch.setattr(dirichlet, "unramified_count", bumped)
+    rep = verify_theorem(unit_ideal(d5), 1, 4.0, 2000)
+    assert rep.abs_err <= rep.budget and not rep.passed
+    n, lhs, rhs = rep.mismatch
+    assert n == 121 and rhs == 121 * 2 and lhs != rhs
+
+
+def test_verify_theorem_names_a_wrong_large_prime(monkeypatch):
+    # g at 1999, the largest prime <= B, one too large: chi_D(1999) g(1) +
+    # g(1999) must be 1999 f(1), and f(1) = 4 for the unit ideal at D = 21
+    coefficients = dirichlet._coefficients
+
+    def bumped(*args):
+        g = coefficients(*args)
+        g[1998] += 1
+        return g
+
+    monkeypatch.setattr(dirichlet, "_coefficients", bumped)
+    rep = verify_theorem(unit_ideal(d21), 1, 4.0, 2000)
+    assert not rep.passed
+    assert rep.mismatch == (1999, 1999 * 4 + 1, 1999 * 4)
+
+
+def test_verify_theorem_uncertified_l_value():
+    # m = 0 needs D B^(1-s) < (s-2)/(s-1) to bound L(s-1, chi_D) from below
+    with pytest.raises(ValueError, match="not certified"):
+        verify_theorem(unit_ideal(d5), 0, 2.1, 10)
+    assert verify_theorem(unit_ideal(d5), 0, 2.1, 10**5).passed
+
+
+def test_verify_theorem_budget_covers_the_closed_side():
+    # the closed side against a 30-digit evaluation: its error stays inside
+    # the budget less the lhs tail, and the lhs inside the whole budget
+    uncertified = 0
+    for D in (5, 21, 105, 1365):
+        ideal = unit_ideal(Discriminant(D))
+        fp = genus_fingerprint(ideal)
+        for s in (2.1, 2.5, 3.0, 4.0):
+            for m in (0, 1, -3):
+                exact = l_reference.closed_side(fp, m, s)
+                for B in (10, 100, 2000):
+                    try:
+                        rep = verify_theorem(ideal, m, s, B)
+                    except ValueError:
+                        uncertified += 1
+                        continue
+                    assert rep.passed, (D, s, m, B)
+                    where = (D, s, m, B, rep.rhs, rep.budget)
+                    assert abs(rep.rhs - exact) <= rep.budget - rep.lhs.tail_bound, where
+                    assert abs(rep.lhs.value - exact) <= rep.budget, where
+    assert uncertified == 15
 
 
 def test_euler_factor_matches_the_case_formulas():
@@ -383,6 +433,11 @@ def test_verify_theorem_shares_arrays(monkeypatch):
         for m in (0, 1, 30030, vanishing):
             for B in (1, 60, 10**4 + 7):
                 calls.clear()
+                if m == 0 and B == 1:
+                    # D B^(1-s) = D: L(s-1, chi_D) is not certified
+                    with pytest.raises(ValueError, match="not certified"):
+                        verify_theorem(ideal, m, 3.0, B)
+                    continue
                 rep = verify_theorem(ideal, m, 3.0, B)
                 assert len(calls) == (0 if m == vanishing else 1), (D, m, B)
                 assert rep.lhs == series_lhs(ideal, m, 3.0, B), (D, m, B)

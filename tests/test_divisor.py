@@ -1,13 +1,13 @@
 import pytest
 
-from quadrep.arith import factorize
+from quadrep.arith import factorize, kronecker
 from quadrep.divisor import (
+    _local_factor,
     disc_decompositions,
     prime_discriminant,
     sigma_decomp,
     sigma_def,
     sigma_euler,
-    sigma_factor,
     sigma_vanishes,
 )
 from quadrep.ideals import genus_fingerprint, genus_representatives, unit_ideal
@@ -117,20 +117,19 @@ def test_ramified_sign_product_exact():
 
 
 def test_decomposition_subexpression():
-    # the ramified Euler factors regroup into the decomposition pairing at
-    # integer s, using the proven sign identity for each D2
+    # the centred Euler factors, ramified and unramified, multiply to the
+    # defining sum over sqrt|m| at integer s
     for fp in fingerprints(d21):
         for m in (1, 2, 5, 6, -4):
             for s in (0.0, 1.0, 2.0):
                 prod = 1.0
                 for p in d21.primes:
-                    prod *= sigma_factor(fp, m, p, s)
-                direct = sigma_def(fp, m, s) / abs(m) ** ((1 - s) / 2)
-                unram = 1.0
+                    prod *= _local_factor(fp, m, p, s, 0)
                 for p, _ in factorize(m):
                     if d21.D % p != 0:
-                        unram *= sigma_factor(fp, m, p, s)
-                assert abs(prod * unram - direct) <= 1e-11 * max(1.0, abs(direct))
+                        prod *= _local_factor(fp, m, p, s, kronecker(d21.D, p))
+                direct = sigma_def(fp, m, s) / abs(m) ** 0.5
+                assert abs(prod - direct) <= 1e-11 * max(1.0, abs(direct))
 
 
 def test_sigma_rejects_zero_m():
@@ -144,9 +143,6 @@ def test_sigma_rejects_zero_m():
 
 def test_factor_validation():
     fp21 = genus_fingerprint(unit_ideal(d21))
-    for p in (2, 3):  # unramified and ramified in D = 21
-        with pytest.raises(ValueError):
-            sigma_factor(fp21, 0, p, 0.0)
     with pytest.raises(ValueError):
         ramified_sign_product(fp21, 5, 1)
 
