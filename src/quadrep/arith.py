@@ -94,17 +94,19 @@ def eps(c: int) -> complex:
     return 1 + 0j if c % 4 == 1 else 1j
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| by trial division, primes ascending.
 
-    Raises FactorizationBoundError when |n| exceeds `bound`; the bound
-    keeps worst-case trial division at sqrt(bound) ~ 10**6 steps.
+    Raises FactorizationBoundError when |n| exceeds DEFAULT_FACTOR_BOUND,
+    which keeps worst-case trial division near its square root, 10**6 steps.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
-    if n > bound:
-        raise FactorizationBoundError(f"|n| = {n} exceeds factorization bound {bound}")
+    if n > DEFAULT_FACTOR_BOUND:
+        raise FactorizationBoundError(
+            f"|n| = {n} exceeds factorization bound {DEFAULT_FACTOR_BOUND}"
+        )
     out: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
@@ -129,10 +131,10 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[tuple[int, int]
     return out
 
 
-def divisors(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Sorted positive divisors of |n|."""
     ds = [1]
-    for p, e in factorize(n, bound):
+    for p, e in factorize(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -43,8 +42,8 @@ from .repnum import rep_count, rep_count_bruteforce, rep_from_gauss_dft
 
 JSON_INT_LIMIT = 2**53
 
-# The largest series truncation point, from --B or the config key B: a
-# series run holds about 24 bytes per term, so 10^7 terms stay near 240 MB.
+# The largest series truncation point --B accepts: a series run holds
+# about 24 bytes per term, so 10^7 terms stay near 240 MB.
 MAX_SERIES_B = 10**7
 
 IDEAL_GRAMMAR = "ideal grammar: ok | prim:a,b | frac:num/den:a,b | prime:p,k"
@@ -69,72 +68,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, _error_line(f"{self.prog}: {message}"))
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    max_enum_b: int = DEFAULT_MAX_ENUM_B
-    default_b: int = 5000
-    output: str = "json"
-
-    def __post_init__(self) -> None:
-        for name in ("max_enum_b", "default_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.default_b > MAX_SERIES_B:
-            raise ValueError(f"B must be at most {MAX_SERIES_B}, got {self.default_b}")
-        if self.output not in ("json", "csv", "plain"):
-            raise ValueError(f"unknown output format {self.output!r}")
-
-
-_CONFIG_KEYS = {
-    "max_enum_b": int,
-    "B": int,
-    "output": str,
-}
-
-
-def load_config(path: str) -> dict:
-    """Read key=value lines; blank lines and # comments are skipped."""
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        text = text.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](text)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
-    return values
-
-
-def _build_config(args: argparse.Namespace) -> CliConfig:
-    """The run's settings.  max_enum_b, the `limit` every handler passes on,
-    is QUADREP_MAX_B, else the config file's, else 10,000; this is the one
-    place that reads the environment."""
-    values = load_config(args.config) if args.config else {}
-    if "B" in values:
-        values["default_b"] = values.pop("B")
+def _enum_bound() -> int:
+    """The enumeration bound `limit` that every handler passes on:
+    QUADREP_MAX_B, else 10,000.  The one place that reads the environment."""
     env = os.environ.get("QUADREP_MAX_B")
-    if env:
-        try:
-            values["max_enum_b"] = int(env)
-        except ValueError as exc:
-            raise UsageError(f"QUADREP_MAX_B must be an integer, got {env!r}") from exc
+    if not env:
+        return DEFAULT_MAX_ENUM_B
     try:
-        return CliConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        limit = int(env)
+        if limit > 0:
+            return limit
+    except ValueError:
+        pass
+    raise UsageError(f"QUADREP_MAX_B must be a positive integer, got {env!r}")
 
 
 def jsonable(x):
@@ -252,17 +198,17 @@ def _dft_count(ideal: FracIdeal, m: int, b: int) -> int:
     return total
 
 
-def _cmd_repnum(args, cfg: CliConfig):
+def _cmd_repnum(args, limit: int):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
     b = _positive(args.b, "--b")
     if args.method == "all":
         n = rep_count(ideal, args.m, b)
-        brute = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
+        brute = rep_count_bruteforce(ideal, args.m, b, limit)
         dft = _dft_count(ideal, args.m, b)
         return {"N": n, "agree": n == brute == dft}, 0
     if args.method == "brute":
-        n = rep_count_bruteforce(ideal, args.m, b, cfg.max_enum_b)
+        n = rep_count_bruteforce(ideal, args.m, b, limit)
     elif args.method == "gauss-dft":
         n = _dft_count(ideal, args.m, b)
     else:
@@ -270,10 +216,10 @@ def _cmd_repnum(args, cfg: CliConfig):
     return {"N": n}, 0
 
 
-def _cmd_gauss(args, cfg: CliConfig):
+def _cmd_gauss(args, limit: int):
     b = _positive(args.b, "--b")
     if args.classical:
-        closed, vec = classical_gauss(args.a, b, cfg.max_enum_b)
+        closed, vec = classical_gauss(args.a, b, limit)
         c = closed.as_complex()
         d = eval_complex(vec)
         return {"a": args.a, "c": b, "closed": c, "direct": d, "abs_diff": abs(c - d)}, 0
@@ -281,7 +227,7 @@ def _cmd_gauss(args, cfg: CliConfig):
         raise UsageError("--disc is required without --classical")
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
-    d = eval_complex(gauss_direct(ideal, args.a, b, cfg.max_enum_b))
+    d = eval_complex(gauss_direct(ideal, args.a, b, limit))
     payload = {"a": args.a, "b": b, "direct": d}
     fac = factorize(b) if b > 1 else []
     if len(fac) == 1:
@@ -294,7 +240,7 @@ def _cmd_gauss(args, cfg: CliConfig):
     return payload, 0
 
 
-def _cmd_sigma(args, cfg: CliConfig):
+def _cmd_sigma(args, limit: int):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
     s = _finite(args.s, "--s")
@@ -313,18 +259,18 @@ def _series_eval_payload(ev) -> dict:
     return {"value": ev.value, "truncation": ev.truncation, "tail_bound": ev.tail_bound}
 
 
-def _cmd_series(args, cfg: CliConfig):
+def _cmd_series(args, limit: int):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
-    B = _positive(args.B if args.B is not None else cfg.default_b, "--B")
+    B = _positive(args.B, "--B")
     if B > MAX_SERIES_B:
         raise UsageError(f"--B must be at most {MAX_SERIES_B}, got {B}")
     s = _finite(args.s, "--s")
     k = min(B, CHECK_B)
-    if args.oracle and k * disc.D > cfg.max_enum_b:
+    if args.oracle and k * disc.D > limit:
         raise UsageError(
             f"--oracle needs brute force at modulus {k}*{disc.D} = {k * disc.D}, "
-            f"past the enumeration bound {cfg.max_enum_b}{_BOUND_HINT}"
+            f"past the enumeration bound {limit}{_BOUND_HINT}"
         )
     if args.verify:
         report = verify_theorem(ideal, args.m, s, B)
@@ -344,11 +290,11 @@ def _cmd_series(args, cfg: CliConfig):
             "residue_at_2": residue_at_2(fp, args.m),
         }
     if args.oracle:
-        check_coefficients(ideal, args.m, B, cfg.max_enum_b)
+        check_coefficients(ideal, args.m, B, limit)
     return payload, 0 if payload.get("pass", True) else 3
 
 
-def _cmd_genus(args, cfg: CliConfig):
+def _cmd_genus(args, limit: int):
     disc = _disc(args.disc)
     if args.ideal is not None:
         ideal = _ideal(disc, args.ideal)
@@ -373,7 +319,7 @@ def _cmd_genus(args, cfg: CliConfig):
     return payload, 0
 
 
-def _cmd_ideal(args, cfg: CliConfig):
+def _cmd_ideal(args, limit: int):
     disc = _disc(args.disc)
     ideal = _ideal(disc, args.ideal)
     if args.op == "norm":
@@ -471,11 +417,11 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, cfg: CliConfig):
+def _cmd_verify(args, limit: int):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        checks = list(_SUITES[name](cfg.max_enum_b))
+        checks = list(_SUITES[name](limit))
         failed = [label for label, ok in checks if not ok]
         results.append({"suite": name, "checks": len(checks), "failures": failed})
     checks = sum(r["checks"] for r in results)
@@ -487,14 +433,13 @@ def _cmd_verify(args, cfg: CliConfig):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--output", choices=("json", "csv", "plain"), default=None,
+        "--output", choices=("json", "csv", "plain"), default="json",
         help="output format (default json)",
     )
     common.add_argument(
         "--meta", action="store_true",
         help="attach a timestamped meta block to the output",
     )
-    common.add_argument("--config", default=None, help="key=value config file")
 
     parser = _Parser(
         prog="quadrep",
@@ -541,7 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument(
-        "--B", type=int, default=None, help=f"truncation point, at most {MAX_SERIES_B}"
+        "--B", type=int, default=5000,
+        help=f"truncation point, at most {MAX_SERIES_B} (default 5000)",
     )
     p.add_argument(
         "--verify", action="store_true",
@@ -585,10 +531,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        payload, code = args.handler(args, cfg)
+        payload, code = args.handler(args, _enum_bound())
         # a non-finite result is a computation error: strict JSON refuses it
-        emit(payload, args.output or cfg.output, args.meta)
+        emit(payload, args.output, args.meta)
     except UsageError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2

@@ -88,8 +88,6 @@ def test_factorize():
         factorize(0)
     with pytest.raises(FactorizationBoundError):
         factorize(10**13)
-    with pytest.raises(FactorizationBoundError):
-        factorize(101, bound=100)
 
 
 def test_divisors():

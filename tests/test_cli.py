@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadrep.cli import IDEAL_GRAMMAR, emit, jsonable, load_config, main
+from quadrep.cli import IDEAL_GRAMMAR, emit, jsonable, main
 
 
 def run(capsys, argv):
@@ -256,9 +256,9 @@ def test_non_finite_result_exits_1(capsys, monkeypatch):
         emit({"x": float("inf")}, "json", False, io.StringIO())
 
 
-def test_series_b_cap(tmp_path, capsys, monkeypatch):
-    # both edges, from --B and from the config key B; the stubs record the
-    # B they are asked for, so nothing of that size is allocated
+def test_series_b_cap(capsys, monkeypatch):
+    # both edges of --B; the stubs record the B they are asked for, so
+    # nothing of that size is allocated
     import quadrep.cli as cli
     from quadrep.dirichlet import SeriesEval
 
@@ -276,19 +276,22 @@ def test_series_b_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "series_rhs", rhs)
     monkeypatch.setattr(cli, "residue_at_2", lambda fp, m: 0.0)
     argv = ["series", "--disc", "5", "--m", "1", "--s", "3"]
-    cfg = tmp_path / "quadrep.cfg"
     for B in (cli.MAX_SERIES_B, cli.MAX_SERIES_B + 1):
-        cfg.write_text(f"B={B}\n")
-        for extra, flag in ((["--B", str(B)], "--B"), (["--config", str(cfg)], "B")):
-            seen.clear()
-            code, out, err = run(capsys, argv + extra)
-            if B == cli.MAX_SERIES_B:
-                assert code == 0, err
-                assert json.loads(out)["lhs"]["truncation"] == B
-                assert seen == [B, B]
-            else:
-                assert (code, out, seen) == (2, "", [])
-                assert err == f"error: {flag} must be at most {cli.MAX_SERIES_B}, got {B}\n"
+        seen.clear()
+        code, out, err = run(capsys, argv + ["--B", str(B)])
+        if B == cli.MAX_SERIES_B:
+            assert code == 0, err
+            assert json.loads(out)["lhs"]["truncation"] == B
+            assert seen == [B, B]
+        else:
+            assert (code, out, seen) == (2, "", [])
+            assert err == f"error: --B must be at most {cli.MAX_SERIES_B}, got {B}\n"
+
+
+def test_series_default_truncation(capsys):
+    code, out, err = run(capsys, ["series", "--disc", "5", "--m", "1", "--s", "4"])
+    assert code == 0, err
+    assert json.loads(out)["lhs"]["truncation"] == 5000
 
 
 def test_unknown_command_exits_2(capsys):
@@ -424,78 +427,29 @@ def test_verify_suite_green(capsys):
     assert payload["checks"] > 100
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text("# comment\n\noutput=plain\nB=100\n")
-    code, out, _ = run(
-        capsys, ["ideal", "--disc", "5", "--op", "norm", "--config", str(cfg)]
-    )
-    assert code == 0
-    assert out.splitlines() == ["ideal = ok", "norm = 1"]
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus=1\n")
-    code, _, err = run(
-        capsys, ["ideal", "--disc", "5", "--op", "norm", "--config", str(bad)]
-    )
-    assert code == 2
-    assert "unknown config key" in err
-
-
-def test_config_max_enum_b_propagates(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text("max_enum_b=50\n")
-    code, _, err = run(
-        capsys,
-        ["repnum", "--disc", "5", "--m", "1", "--b", "100", "--method", "brute",
-         "--config", str(cfg)],
-    )
-    assert code == 1
-    assert "QUADREP_MAX_B" in err
-
-
-def test_config_bound_does_not_leak(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("QUADREP_MAX_B", raising=False)
-    environ = dict(os.environ)
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text("max_enum_b=50\n")
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_enum_bound_from_the_environment(capsys, monkeypatch, value):
+    # a bad QUADREP_MAX_B is a usage error naming the variable, also for a
+    # command that enumerates nothing; a bound set for one in-process call
+    # does not outlive it, and the CLI never writes the environment
     argv = ["repnum", "--disc", "5", "--m", "1", "--b", "100", "--method", "brute"]
-    code, _, err = run(capsys, argv + ["--config", str(cfg)])
+    monkeypatch.setenv("QUADREP_MAX_B", value)
+    for command in (argv, ["ideal", "--disc", "5", "--op", "norm"]):
+        code, out, err = run(capsys, command)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: QUADREP_MAX_B") and err.count("\n") == 1
+    monkeypatch.setenv("QUADREP_MAX_B", "50")
+    environ = dict(os.environ)
+    code, _, err = run(capsys, argv)
     assert code == 1
     assert "exceeds enumeration bound 50" in err
+    assert dict(os.environ) == environ
+    monkeypatch.delenv("QUADREP_MAX_B")
+    environ = dict(os.environ)
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out) == {"N": 300}
     assert dict(os.environ) == environ
-
-
-def test_env_bound_outranks_config(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text("max_enum_b=50\n")
-    argv = ["repnum", "--disc", "5", "--m", "1", "--b", "100", "--method", "brute",
-            "--config", str(cfg)]
-    monkeypatch.setenv("QUADREP_MAX_B", "200")
-    code, out, _ = run(capsys, argv)
-    assert code == 0
-    assert json.loads(out) == {"N": 300}
-    monkeypatch.setenv("QUADREP_MAX_B", "many")
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: QUADREP_MAX_B") and err.count("\n") == 1
-
-
-def test_config_max_factor_bound_is_unknown(tmp_path, capsys):
-    cfg = tmp_path / "quadrep.cfg"
-    cfg.write_text("max_factor_bound=100\n")
-    code, out, err = run(
-        capsys,
-        ["repnum", "--disc", "5", "--m", "1", "--b", "1001", "--method", "all",
-         "--config", str(cfg)],
-    )
-    assert code == 2
-    assert out == ""
-    assert "unknown config key 'max_factor_bound'" in err and err.count("\n") == 1
 
 
 def test_classical_gauss_respects_enum_bound(capsys, monkeypatch):
@@ -511,21 +465,6 @@ def test_classical_gauss_respects_enum_bound(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["c"] == 10001
     assert payload["abs_diff"] < 1e-6
-
-
-def test_load_config_rejects_garbage(tmp_path):
-    from quadrep.cli import UsageError
-
-    path = tmp_path / "c.cfg"
-    path.write_text("max_enum_b\n")
-    with pytest.raises(UsageError):
-        load_config(str(path))
-    path.write_text("max_enum_b=abc\n")
-    with pytest.raises(UsageError):
-        load_config(str(path))
-    path.write_text("tolerance=1e-3\n")
-    with pytest.raises(UsageError, match="unknown config key"):
-        load_config(str(path))
 
 
 def test_jsonable_conversions():
