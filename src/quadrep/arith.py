@@ -140,9 +140,12 @@ def divisors(n: int) -> list[int]:
 
 
 def valuation(x: Rational, p: int) -> int:
-    """Exponent of the prime p in the nonzero rational x."""
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"valuation requires a prime, got {p}")
+    """Exponent of p >= 2 in the nonzero rational x: the factors of p counted.
+
+    Primality is the caller's to check, where the prime is handed in.
+    """
+    if p < 2:
+        raise ValueError(f"valuation requires p >= 2, got {p}")
     num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
     if num == 0:
         raise ValueError("valuation of 0 is undefined")

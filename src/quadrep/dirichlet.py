@@ -8,7 +8,7 @@ prime by prime and the sieve's int64 array holds g itself.  series_rhs
 evaluates |m|^(-s/2) zeta(s-1) sigma(ideal, m, 1-s) / L(s, chi_D) (the
 m = 0 case degenerates to zeta(s-1) L(s-1, chi_D) / L(s, chi_D)) from one
 vector n^(-s), n <= B, which the truncated zeta and L sums all reuse.  The
-L sums read chi_D(1..B) from one period, a product of Legendre tables
+L sums read chi_D(1..B) from one period, a product of Legendre symbols
 (chi_table), one per ramified prime, tiled to length B.
 
 verify_theorem checks the identity exactly on the coefficients at every
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, primes_upto, valuation
+from .arith import is_prime, kronecker, primes_upto, valuation
 from .divisor import _weight, sigma_def
 from .errors import ConsistencyError
 from .ideals import (
@@ -78,6 +78,8 @@ def euler_factor(fp: GenusFingerprint, m: int, p: int, s: float) -> float:
     """
     if not s > 1:
         raise ValueError(f"factor needs s > 1, got {s}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     q = float(p) ** (1 - s)
     chi = kronecker(fp.disc.D, p)
     first = (p - chi * q) / (p * (1 - q))
@@ -99,27 +101,44 @@ def zeta_truncated(s: float, B: int) -> SeriesEval:
     return SeriesEval(float(np.sum(_powers(s, B))), B, B ** (1 - s) / (s - 1))
 
 
-def _legendre_table(q: int) -> np.ndarray:
-    """(k | q) for k = 0..q-1 at an odd prime q, as int8, from the squares mod q."""
-    table = np.full(q, -1, dtype=np.int8)
-    x = np.arange(1, q // 2 + 1, dtype=np.int64)
-    table[x * x % q] = 1
-    table[0] = 0
-    return table
+def _legendre_upto(q: int, n: int) -> np.ndarray:
+    """(k | q) for k = 0..n-1 at an odd prime q, as int8.
+
+    For q <= 64 n the whole table mod q comes from the squares mod q, O(q)
+    numpy work, and is tiled and cut to n.  Otherwise the symbol is built
+    as a completely multiplicative function of k < n: from ones with entry
+    0 set to 0, each prime r < n with (r | q) = -1 negates the multiples of
+    r, r^2, ..., which costs O(n log log n) numpy work and one kronecker
+    call per prime below n, whatever q is.
+    """
+    if q <= 64 * n:
+        table = np.full(q, -1, dtype=np.int8)
+        x = np.arange(1, q // 2 + 1, dtype=np.int64)
+        table[x * x % q] = 1
+        table[0] = 0
+        return np.tile(table, -(-n // q))[:n]
+    chi = np.ones(n, dtype=np.int8)
+    chi[:1] = 0
+    for r in primes_upto(n - 1).tolist():
+        if kronecker(r, q) == -1:
+            rk = r
+            while rk < n:
+                chi[rk::rk] *= -1
+                rk *= r
+    return chi
 
 
 def chi_table(disc: Discriminant, n: int | None = None) -> np.ndarray:
     """chi_D(k) for k = 0..min(n, D)-1 as int8; by default the whole period D.
 
     For D = 1 (mod 4) squarefree, chi_D(k) is the Jacobi symbol (k | D), the
-    product of the Legendre symbols (k | q) over the primes q | D.  Each
-    Legendre table costs O(q) numpy work and is tiled and cut to the
-    length asked for, instead of one kronecker call per entry.
+    product of the Legendre symbols (k | q) over the primes q | D, each
+    from _legendre_upto instead of one kronecker call per entry.
     """
     n = disc.D if n is None else min(n, disc.D)
     chi = np.ones(n, dtype=np.int8)
     for q in disc.primes:
-        chi *= np.tile(_legendre_table(q), -(-n // q))[:n]
+        chi *= _legendre_upto(q, n)
     return chi
 
 

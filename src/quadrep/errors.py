@@ -14,7 +14,12 @@ class EnumerationBoundError(QuadrepError):
 
 
 class RepresentativeSearchError(QuadrepError):
-    """Coprime genus representative search exhausted its box."""
+    """A search for a coprime genus representative gave up.
+
+    No library code raises it any more: genus fingerprints are read off the
+    norm form's coefficients and the representatives walk ends by Dirichlet's
+    theorem.  It stays exported for callers that still catch it.
+    """
 
 
 class ConsistencyError(QuadrepError):

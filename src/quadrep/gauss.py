@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import fsum, gcd, sqrt
 
 import numpy as np
 
@@ -70,9 +70,15 @@ class ExactGaussValue:
 
 
 def eval_complex(vec: ExponentVector) -> complex:
-    """Evaluate sum counts[t] * e(t/b) in double precision."""
+    """Evaluate sum counts[t] * e(t/b) in double precision.
+
+    Each part is fsum's correctly rounded sum of the float64 products, so
+    no summation order shows: a BLAS dot stalled for 8 ms in some fresh
+    processes, and np.sum's order moves sums that cancel by over 1e-12.
+    """
     counts = np.asarray(vec.counts, dtype=np.float64)
-    return complex(counts @ np.exp(2j * np.pi * np.arange(vec.b) / vec.b))
+    e = np.exp(2j * np.pi * np.arange(vec.b) / vec.b)
+    return complex(fsum((counts * e.real).tolist()), fsum((counts * e.imag).tolist()))
 
 
 def gauss_direct(

@@ -9,7 +9,7 @@ module is exact integer/rational arithmetic.  The one enumeration primitive,
 (Z/bZ)^2 with numpy: it splits b into prime powers by the Chinese remainder
 theorem and Hensel-lifts each part p^e from the smooth points mod p, counted
 for odd p by completing the square and convolving two histograms of squares.
-Genus fingerprints are read off one value of the norm form coprime to D,
+Genus fingerprints are read off the coefficients A and C of the norm form,
 and coprimality off the coordinates a, num and den; neither multiplies
 ideals.  `ramified_sign` is the one home of the local sign at a ramified
 prime shared by the closed representation numbers, both Euler factors and
@@ -24,12 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, is_prime, kronecker, primes_upto, sqrt_mod, valuation, xgcd
-from .errors import EnumerationBoundError, RepresentativeSearchError
+from .arith import factorize, is_prime, kronecker, sqrt_mod, valuation, xgcd
+from .errors import EnumerationBoundError
 from .quadfield import Discriminant, QuadElem, omega
 
 DEFAULT_MAX_ENUM_B = 10_000
-_GENUS_PRIME_BOUND = 2000
 
 
 def check_enum_bound(b: int, limit: int) -> None:
@@ -390,29 +389,23 @@ _FINGERPRINT_CACHE: dict[tuple, GenusFingerprint] = {}
 
 
 def genus_fingerprint(ideal: FracIdeal) -> GenusFingerprint:
-    """The genus fingerprint of the ideal.
+    """The genus fingerprint of the ideal, read off its norm form (A, B, C).
 
-    The signs are (n | p) at the ramified p for the first n > 0 coprime to D
-    that the norm form takes on square shells of radius 1..200.  Such an n is
-    the norm of (lambda) * ideal^(-1), an integral ideal in the same genus,
-    so by genus theory every such n gives the same signs.  Cached per ideal.
+    Any value v of the form prime to a ramified p is the norm of
+    (lambda) * ideal^(-1), an integral ideal in the same genus, and
+    4 A v = (2Ax + By)^2 - D y^2 = (2Ax + By)^2 (mod p), so (v | p) = (A | p)
+    when p does not divide A (Gauss's assigned characters; Cox, Primes of
+    the Form x^2 + ny^2, section 3).  Otherwise (v | p) = (C | p) by the same
+    identity in y: p cannot divide both, since then p | B and D is
+    squarefree.  The scale enters the norm squared.  Cached per ideal.
     """
     key = ideal.key()
     cached = _FINGERPRINT_CACHE.get(key)
     if cached is not None:
         return cached
+    A, _, C = ideal.prim.form()
     disc = ideal.disc
-    A, B, C = ideal.prim.form()
-    values = (
-        A * x * x + B * x * y + C * y * y
-        for r in range(1, 201)
-        for x in range(-r, r + 1)
-        for y in (range(-r, r + 1) if abs(x) == r else (-r, r))
-    )
-    n = next((v for v in values if v > 0 and math.gcd(v, disc.D) == 1), None)
-    if n is None:
-        raise RepresentativeSearchError(f"no value coprime to D in box 200 for {ideal!r}")
-    fp = GenusFingerprint(disc, tuple(kronecker(n, p) for p in disc.primes))
+    fp = GenusFingerprint(disc, tuple(kronecker(A if A % p else C, p) for p in disc.primes))
     _FINGERPRINT_CACHE[key] = fp
     return fp
 
@@ -420,28 +413,21 @@ def genus_fingerprint(ideal: FracIdeal) -> GenusFingerprint:
 def genus_representatives(disc: Discriminant) -> list[FracIdeal]:
     """One integral ideal per genus, the unit ideal first.
 
-    Walks split primes below _GENUS_PRIME_BOUND in increasing order until
-    all 2^(omega-1) fingerprints are seen.  Deterministic for a fixed
-    discriminant.
+    Walks the split primes p = 2, 3, 5, ... in increasing order, taking the
+    first prime above each, until all 2^(omega-1) fingerprints are seen.
+    Every genus holds infinitely many split primes (Dirichlet's theorem),
+    so the walk ends.  Deterministic for a fixed discriminant.
     """
     want = 2 ** (disc.omega - 1)
-    reps: dict[tuple[int, ...], FracIdeal] = {}
     one = unit_ideal(disc)
-    reps[genus_fingerprint(one).signs] = one
-    for p in primes_upto(_GENUS_PRIME_BOUND).tolist():
-        if len(reps) == want:
-            break
-        if kronecker(disc.D, p) != 1:
+    reps = {genus_fingerprint(one).signs: one}
+    p = 1
+    while len(reps) < want:
+        p += 1
+        if kronecker(disc.D, p) != 1 or not is_prime(p):
             continue
         cand = prime_above(disc, p)[0].ideal
-        fp = genus_fingerprint(cand).signs
-        if fp not in reps:
-            reps[fp] = cand
-    if len(reps) != want:
-        raise RepresentativeSearchError(
-            f"found {len(reps)} of {want} genera below {_GENUS_PRIME_BOUND} "
-            f"for D = {disc.D}"
-        )
+        reps.setdefault(genus_fingerprint(cand).signs, cand)
     return list(reps.values())
 
 

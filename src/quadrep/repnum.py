@@ -10,7 +10,7 @@ other, and g_rep exposes the exactly divisible rescaling rep_count(b*D)/D.
 
 from __future__ import annotations
 
-from .arith import factorize, kronecker, valuation
+from .arith import factorize, is_prime, kronecker, valuation
 from .errors import ConsistencyError
 from .gauss import gauss_closed
 from .ideals import (
@@ -55,6 +55,8 @@ def rep_count_prime_power(
     na_sign, the Legendre symbol at p of the norm of a coprime ideal in the
     same genus.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if beta == 0:
@@ -116,7 +118,7 @@ def rep_from_gauss_dft(ideal: FracIdeal, m: int, p: int, beta: int) -> int:
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    if p < 2:  # gauss_closed and valuation test larger p for primality
+    if p < 2:  # gauss_closed tests larger p for primality
         raise ValueError(f"{p} is not prime")
     b = p**beta
     nu = beta if m % b == 0 else valuation(m, p)

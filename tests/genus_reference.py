@@ -1,10 +1,11 @@
 """Reference paths for genus fingerprints and coprimality.
 
-The library reads a fingerprint off one value of the norm form and tests
-coprimality from the ideal's coordinates.  These are the paths it replaced,
-which work through ideal arithmetic instead: valuations by repeated exact
-division, a coprime representative built as (lambda) * ideal^(-1), and the
-Legendre symbol of its rational norm.  The tests hold the library to them.
+The library reads a fingerprint off the norm form's coefficients A and C
+and tests coprimality from the ideal's coordinates.  These are the paths
+it replaced, which work through ideal arithmetic instead: valuations by
+repeated exact division, a coprime representative built as
+(lambda) * ideal^(-1), and the Legendre symbol of its rational norm.
+The tests hold the library to them.
 """
 
 from __future__ import annotations

@@ -103,6 +103,11 @@ def test_valuation():
     assert valuation(-48, 2) == 4
     with pytest.raises(ValueError):
         valuation(0, 3)
+    # factors of p are counted whether p is prime or not; p < 2 never ends
+    assert valuation(48, 4) == 2
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            valuation(48, p)
 
 
 def test_sqrt_mod_roundtrip():

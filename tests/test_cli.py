@@ -321,6 +321,13 @@ def test_genus_payload(capsys):
     assert first["fingerprint"] == {"3": 1, "7": 1}
 
 
+def test_genus_answers_seven_ramified_primes(capsys):
+    # 64 genera, more than the split primes below 2000 reach
+    code, out, _ = run(capsys, ["genus", "--disc", "4849845"])
+    assert code == 0
+    assert json.loads(out)["count"] == 64
+
+
 def test_genus_single_ideal(capsys):
     code, out, _ = run(capsys, ["genus", "--disc", "21", "--ideal", "prime:5,1"])
     assert code == 0

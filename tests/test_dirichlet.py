@@ -84,6 +84,9 @@ def test_euler_factor_validation():
     for s in (1.0, 0.5, float("nan")):
         with pytest.raises(ValueError):
             euler_factor(fp_unit(d5), 1, 2, s)
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            euler_factor(fp_unit(d5), m, 4, 3.0)
 
 
 def test_zeta_truncated():
@@ -481,6 +484,26 @@ def test_chi_table_matches_kronecker():
         assert np.array_equal(table, want), D
         for n in (0, 1, 2, D // 3, D - 1, D + 5):
             assert np.array_equal(chi_table(disc, n), want[: min(n, D)]), (D, n)
+
+
+def test_chi_table_past_64_n_matches_kronecker():
+    # a prime q > 64 n builds (k | q) multiplicatively from the primes below n
+    for D in (100049, 5 * 1000033, 10000121):
+        want = np.array([kronecker(D, k) for k in range(5000)])
+        for n in (1, 2, 3, 97, 1563, 5000):
+            assert np.array_equal(chi_table(Discriminant(D), n), want[:n]), (D, n)
+
+
+def test_series_memory_follows_b_not_d():
+    # the prime D = 30000001 once cost a Legendre table of D entries and
+    # D/2 int64 squares: 12, 124 and 372 MiB at B = 100, and 374 MiB for
+    # the residue's 200,000 terms
+    ideal, B, mib = unit_ideal(Discriminant(30000001)), 100, 2**20
+    fp = genus_fingerprint(ideal)
+    assert _peak_bytes_per_term(lambda: series_lhs(ideal, 1, 4.0, B), mib) <= 1
+    assert _peak_bytes_per_term(lambda: series_rhs(fp, 1, 4.0, B), mib) <= 1
+    assert _peak_bytes_per_term(lambda: verify_theorem(ideal, 1, 4.0, B), mib) <= 1
+    assert _peak_bytes_per_term(lambda: residue_at_2(fp, 1), mib) <= 8
 
 
 def test_l_truncated_large_disc_is_fast():

@@ -253,6 +253,19 @@ def test_genus_representatives():
         assert len(prints) == want
 
 
+@pytest.mark.parametrize("D", (4849845, 140645505, 3457939485, 100280245065))
+def test_genus_representatives_many_primes(D):
+    # omega = 7..10: the walk over split primes passes 2000, the old bound
+    disc = Discriminant(D)
+    reps = genus_representatives(disc)
+    assert len(reps) == 2 ** (disc.omega - 1)
+    assert reps[0] == unit_ideal(disc)
+    assert len({genus_fingerprint(r).signs for r in reps}) == len(reps)
+    if disc.omega == 7:
+        for r in reps:
+            assert genus_fingerprint(r) == fingerprint_by_representative(r)
+
+
 def test_different_ideal():
     d = different_ideal(d21)
     assert (d.prim.a, d.prim.b) == (21, 21)
@@ -287,7 +300,7 @@ def test_representative_search_failure():
         coprime_genus_representative(unit_ideal(d5), 0)
 
 
-# Genus-layer properties: the fingerprint read off one norm-form value and
+# Genus-layer properties: the fingerprint read off the norm form's A and C and
 # coprimality read off the coordinates, held to the ideal-arithmetic paths of
 # genus_reference.py.  Each example also tries the ideal's inverse and its
 # products with a prime J above p < 60 and with J^(-1), so that scales with

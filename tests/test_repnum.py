@@ -188,6 +188,10 @@ def test_rep_count_validation():
         rep_count(unit_ideal(d5), 1, 0)
     with pytest.raises(ValueError):
         rep_count_prime_power(d5, 2, -1, 1)
+    # a composite modulus base is refused whatever m is, m = 0 included
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            rep_count_prime_power(d5, 4, 1, m)
     for p, beta in ((0, 2), (1, 3), (4, 2), (-3, 2), (2, -1)):
         with pytest.raises(ValueError):
             rep_from_gauss_dft(unit_ideal(d5), 1, p, beta)
