@@ -534,6 +534,10 @@ def main(argv: list[str] | None = None) -> int:
         payload, code = args.handler(args, _enum_bound())
         # a non-finite result is a computation error: strict JSON refuses it
         emit(payload, args.output, args.meta)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return 2

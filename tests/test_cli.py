@@ -495,3 +495,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"def": 4.0, "decomp": 4.0, "euler": 4.0}\n'
+
+
+@pytest.mark.parametrize(
+    "argv", [["genus", "--disc", "4849845"], ["ideal", "--disc", "5", "--op", "norm"]]
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the reader is gone before the first byte, so every write to the pipe fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadrep.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +107,7 @@ def test_zeta_truncated():
 
 def test_chi_table_period_sums_to_zero():
     for D in VALID_DISCS:
-        table = chi_table(Discriminant(D))
+        table = chi_table(Discriminant(D), D)
         assert table.sum() == 0.0
         assert table[0] == 0.0
 
@@ -115,7 +116,7 @@ def test_l_truncated_against_euler_product():
     B = 10**6
     got = l_truncated(d5, 4.0, B).value
     prod = 1.0
-    table = chi_table(d5)
+    table = chi_table(d5, 5)
     for p in primes_upto(B).tolist():
         chi = table[p % 5]
         prod /= 1.0 - chi * float(p) ** (-4.0)
@@ -224,9 +225,10 @@ def test_residue_pinned():
     # L(2, chi_5) = 4 pi^2/(25 sqrt 5) and L(1, chi_5) = 2 log((1+sqrt 5)/2)/sqrt 5
     l2 = 4 * math.pi**2 / (25 * math.sqrt(5))
     l1 = 2 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    chi = chi_table(d5)
-    assert abs(dirichlet._l2_closed(chi) - l2) < 1e-14 * l2
-    assert abs(dirichlet._l1_closed(chi) - l1) < 1e-14 * l1
+    got1, got2 = dirichlet._l_values(d5, 0)
+    assert abs(got2 - l2) < 1e-14 * l2
+    assert abs(got1 - l1) < 1e-14 * l1
+    assert dirichlet._l_values(d5, 1) == (None, got2)
     res = residue_at_2(fp_unit(d5), 1)
     assert abs(res - 12.5 * math.sqrt(5) / math.pi**2) < 1e-14 * res
     assert residue_at_2(fp_unit(d5), 2) == 0.0
@@ -243,9 +245,9 @@ def _rel(got, want):
 
 def test_closed_l_values_match_oracle():
     for D in ORACLE_DISCS:
-        chi = chi_table(Discriminant(D))
-        assert _rel(dirichlet._l1_closed(chi), l_reference.l_value(D, 1)) < 1e-13, D
-        assert _rel(dirichlet._l2_closed(chi), l_reference.l_value(D, 2)) < 1e-13, D
+        l1, l2 = dirichlet._l_values(Discriminant(D), 0)
+        assert _rel(l1, l_reference.l_value(D, 1)) < 1e-13, D
+        assert _rel(l2, l_reference.l_value(D, 2)) < 1e-13, D
 
 
 def test_residue_matches_oracle():
@@ -270,41 +272,56 @@ def test_l_truncated_tail_bound_covers_error():
                 assert abs(ev.value - want) <= ev.tail_bound, (D, s, B)
 
 
-def test_residue_past_b_is_truncated(monkeypatch):
-    # at the default B, D = 48,612,265 keeps the values the truncated sums gave
-    big = fp_unit(Discriminant(48_612_265))
-    assert residue_at_2(big, 0) == 2.790967866943613
-    assert residue_at_2(big, 4) == 72.32931630244225
-    with monkeypatch.context() as patch:
-        patch.setattr(dirichlet, "_l2_closed", None)
-        assert residue_at_2(big, 1) == 41.33103788710986
-    # D > B: the partial sums to B terms, exactly as l_truncated gives them
-    disc = Discriminant(105)
-    fp, B = fp_unit(disc), 100
-    monkeypatch.setattr(dirichlet, "DEFAULT_RESIDUE_B", B)
-    l1, l2 = l_truncated(disc, 1.0, B).value, l_truncated(disc, 2.0, B).value
-    assert residue_at_2(fp, 0) == l1 / l2
-    assert residue_at_2(fp, 1) == sigma_def(fp, 1, -1.0) / l2
+def test_residue_at_a_large_prime_disc():
+    # L(1) and L(2) at the prime D = 30000001 from the closed forms over one
+    # period, -D^(-1/2) sum of chi(a) log sin(pi a/D) and pi^2 D^(-5/2) sum
+    # of chi(a) a^2
+    disc = Discriminant(30000001)
+    l1, l2 = dirichlet._l_values(disc, 0)
+    want1, want2 = 3.5002202185618376, 1.5333427230923349
+    assert _rel(l1, want1) < 1e-14
+    assert _rel(l2, want2) < 1e-14
+    assert _rel(residue_at_2(fp_unit(disc), 0), want1 / want2) < 1e-14
+
+
+def test_e1_matches_mpmath():
+    # both sides of the switch from the power series to the continued fraction
+    x = np.concatenate([np.geomspace(1e-9, 40, 200), np.linspace(1.5, 3.5, 201)])
+    got = dirichlet._e1(x.copy())
+    with mpmath.workdps(30):
+        for xv, ev in zip(x.tolist(), got.tolist()):
+            want = mpmath.e1(xv)
+            assert abs(ev - want) <= 1e-14 * want, xv
+
+
+def test_l_value_truncation_bound(monkeypatch):
+    # the docstring's bounds on the terms past x = pi n^2/D = 40 hold for
+    # those terms up to x = 60, summed on their own, and for raising the cutoff
+    for D in (5, 1365, 199997):
+        disc, root = Discriminant(D), math.sqrt(D)
+        bound1 = math.exp(-40) * (1 / (20 * root) + 1 / (math.sqrt(math.pi) * 40**1.5))
+        bound2 = math.exp(-40) * (6.4 / D + 0.29 / root)
+        tail1 = tail2 = 0.0
+        n = math.isqrt(int(40 * D / math.pi)) + 1
+        while (x := math.pi * n * n / D) <= 60:
+            erfc, ex = math.erfc(math.sqrt(x)), math.exp(-x)
+            tail1 += erfc / n + float(mpmath.e1(x)) / root
+            tail2 += ex / n**2 + 2 * math.pi / D * (ex - math.sqrt(math.pi * x) * erfc)
+            n += 1
+        assert 0 < tail1 <= bound1 and 0 < tail2 <= bound2, (D, tail1, tail2)
+        l1, l2 = dirichlet._l_values(disc, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(dirichlet, "_X_MAX", 60.0)
+            far1, far2 = dirichlet._l_values(disc, 0)
+        assert abs(far1 - l1) <= bound1, D
+        assert abs(far2 - l2) <= bound2, D
 
 
 def test_vanishing_residue_builds_no_table(monkeypatch):
     monkeypatch.setattr(dirichlet, "chi_table", None)
-    monkeypatch.setattr(dirichlet, "l_truncated", None)
+    monkeypatch.setattr(dirichlet, "_l_values", None)
     assert residue_at_2(fp_unit(d5), 2) == 0.0
     assert residue_at_2(fp_unit(d21), 3) == 0.0
-
-
-def test_l2_closed_sum_is_exact_past_int64():
-    # at this prime D the squares chi_D reads add up past 2^63, so the sum
-    # is taken in blocks; compare it with Python integers over the same table
-    D = 3_100_057
-    chi = chi_table(Discriminant(D))
-    a = np.arange(D, dtype=np.int64)
-    plus, minus = a[chi == 1].tolist(), a[chi == -1].tolist()
-    assert sum(x * x for x in plus + minus) >= 2**63
-    exact = sum(x * x for x in plus) - sum(x * x for x in minus)
-    want = math.pi**2 * exact / (D * D * math.sqrt(D))
-    assert dirichlet._l2_closed(chi) == want
 
 
 def test_residue_by_richardson_extrapolation():
@@ -424,7 +441,7 @@ def test_verify_theorem_shares_arrays(monkeypatch):
     # must be those of the standalone sides, bit for bit
     calls = []
 
-    def counted(disc, n=None):
+    def counted(disc, n):
         calls.append(n)
         return chi_table(disc, n)
 
@@ -451,7 +468,7 @@ def test_vanishing_divisor_sum_builds_no_array(monkeypatch):
     def refuse(disc, B):
         raise AssertionError("chi_D built for a vanishing divisor sum")
 
-    monkeypatch.setattr(dirichlet, "_chi_upto", refuse)
+    monkeypatch.setattr(dirichlet, "chi_table", refuse)
     for D in (5, 21, 1365):
         ideal = unit_ideal(Discriminant(D))
         fp = genus_fingerprint(ideal)
@@ -479,11 +496,11 @@ def test_chi_table_matches_kronecker():
         except ValueError:
             continue
         want = np.array([kronecker(D, k) for k in range(D)])
-        table = chi_table(disc)
+        table = chi_table(disc, D)
         assert table.dtype == np.int8
         assert np.array_equal(table, want), D
         for n in (0, 1, 2, D // 3, D - 1, D + 5):
-            assert np.array_equal(chi_table(disc, n), want[: min(n, D)]), (D, n)
+            assert np.array_equal(chi_table(disc, n), np.resize(want, n)), (D, n)
 
 
 def test_chi_table_past_64_n_matches_kronecker():
@@ -497,13 +514,13 @@ def test_chi_table_past_64_n_matches_kronecker():
 def test_series_memory_follows_b_not_d():
     # the prime D = 30000001 once cost a Legendre table of D entries and
     # D/2 int64 squares: 12, 124 and 372 MiB at B = 100, and 374 MiB for
-    # the residue's 200,000 terms
+    # the residue, which reads chi_D at about 3.6 sqrt(D) terms
     ideal, B, mib = unit_ideal(Discriminant(30000001)), 100, 2**20
     fp = genus_fingerprint(ideal)
     assert _peak_bytes_per_term(lambda: series_lhs(ideal, 1, 4.0, B), mib) <= 1
     assert _peak_bytes_per_term(lambda: series_rhs(fp, 1, 4.0, B), mib) <= 1
     assert _peak_bytes_per_term(lambda: verify_theorem(ideal, 1, 4.0, B), mib) <= 1
-    assert _peak_bytes_per_term(lambda: residue_at_2(fp, 1), mib) <= 8
+    assert _peak_bytes_per_term(lambda: residue_at_2(fp, 1), mib) <= 4
 
 
 def test_l_truncated_large_disc_is_fast():

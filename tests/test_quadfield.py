@@ -22,7 +22,7 @@ def test_invalid_discriminants(D):
 
 def test_chi_is_the_right_character():
     disc = Discriminant(21)
-    chi = chi_table(disc)  # chi_D(k) for k = 0..20
+    chi = chi_table(disc, 21)  # chi_D(k) for k = 0..20
     assert chi[2] == -1  # 21 = 5 mod 8
     assert chi[5] == 1
     assert chi[3] == 0
