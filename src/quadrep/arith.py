@@ -1,7 +1,8 @@
 """Elementary integer and rational arithmetic helpers.
 
 Everything in this module is exact: integers are unbounded, rationals are
-`fractions.Fraction`, and quadratic symbols are plain ints in {-1, 0, +1}.
+`fractions.Fraction` (read, like ints, through numerator and denominator),
+and quadratic symbols are plain ints in {-1, 0, +1}.
 Floating point never enters here; the prime sieve is an integer numpy array.
 """
 
@@ -142,11 +143,14 @@ def divisors(n: int) -> list[int]:
 def valuation(x: Rational, p: int) -> int:
     """Exponent of p >= 2 in the nonzero rational x: the factors of p counted.
 
-    Primality is the caller's to check, where the prime is handed in.
+    x is an int or a Fraction, read alike through x.numerator and
+    x.denominator (an int's denominator is 1), so the hot int path makes no
+    isinstance check.  Primality is the caller's to check, where the prime
+    is handed in.
     """
     if p < 2:
         raise ValueError(f"valuation requires p >= 2, got {p}")
-    num, den = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0

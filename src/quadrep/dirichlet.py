@@ -51,7 +51,8 @@ CHECK_B = 60
 # chunk below B = 2^18, and about one byte per term a chunk above it
 _CHUNK = 2**15
 # elementwise passes that need a temporary run in blocks of _BLOCK
-# entries, so that the temporary stays at 32 KiB whatever B is
+# entries, so that the temporary stays at 32 KiB whatever B is; _l_values
+# makes its terms _BLOCK values of n at a time for the same reason
 _BLOCK = 2**12
 
 
@@ -185,7 +186,11 @@ def _l_values(disc: Discriminant, m: int) -> tuple[float | None, float]:
     Number Theory, ch. 5), L(1) = sum of chi(n) [erfc(sqrt x)/n + E1(x)/sqrt D]
     and L(2) = sum of chi(n) [e^-x/n^2 + (2 pi/D)(e^-x - sqrt(pi x) erfc(sqrt x))],
     each summed by math.fsum over the n with x <= _X_MAX = 40, about
-    3.6 sqrt(D) terms.  As erfc(sqrt x) <= e^-x/sqrt(pi x) and E1(x) <=
+    3.6 sqrt(D) terms.  The terms are made _BLOCK values of n at a time and
+    each block's floats are folded by _carry into a few floats with the
+    same exact sum, so memory stays flat in D and the result is bit for bit
+    one math.fsum over every term; below D = 1.3 * 10^6 there is one block.
+    As erfc(sqrt x) <= e^-x/sqrt(pi x) and E1(x) <=
     e^-x/x, the integral test bounds the terms past x = 40 by
     e^-40 (1/(20 sqrt D) + 1/(sqrt(pi) 40^(3/2))) in L(1) and
     e^-40 (6.4/D + 0.29/sqrt D) in L(2).  With L(1) >= 2 log((1 + sqrt 5)/2)
@@ -195,17 +200,37 @@ def _l_values(disc: Discriminant, m: int) -> tuple[float | None, float]:
     """
     D, root = disc.D, math.sqrt(disc.D)
     chi = chi_table(disc, math.isqrt(int(_X_MAX * D / math.pi)) + 1)
-    n = np.flatnonzero(chi)
-    chi, n = chi[n], n.astype(np.float64)
-    x = n * n * (math.pi / D)
-    erfc = np.array([math.erfc(r) for r in np.sqrt(x).tolist()])
-    ex = np.exp(-x)
-    # sqrt(pi x) = pi n/sqrt D
-    l2 = chi * (ex / n**2 + 2 * math.pi / D * (ex - math.pi / root * n * erfc))
-    l2 = math.fsum(l2.tolist())
-    if m:
-        return None, l2
-    return math.fsum((chi * (erfc / n + _e1(x) / root)).tolist()), l2
+    parts1, parts2, terms1, terms2 = [], [], [], []
+    for lo in range(0, chi.size, _BLOCK):
+        parts1, parts2 = _carry(parts1, terms1), _carry(parts2, terms2)
+        c = chi[lo : lo + _BLOCK]
+        n = np.flatnonzero(c)
+        c, n = c[n], (n + lo).astype(np.float64)
+        x = n * n * (math.pi / D)
+        erfc = np.array([math.erfc(r) for r in np.sqrt(x).tolist()])
+        ex = np.exp(-x)
+        # sqrt(pi x) = pi n/sqrt D
+        terms2 = (c * (ex / n**2 + 2 * math.pi / D * (ex - math.pi / root * n * erfc))).tolist()
+        if not m:
+            terms1 = (c * (erfc / n + _e1(x) / root)).tolist()
+    l2 = math.fsum(parts2 + terms2)
+    return (None if m else math.fsum(parts1 + terms1)), l2
+
+
+def _carry(parts: list[float], terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of parts and terms together.
+
+    math.fsum rounds the exact sum of what is left correctly, and a nonzero
+    sum of floats is a multiple of 2^-1074, so it reads 0 exactly when the
+    floats taken out add up to every term.  math.fsum of the floats
+    returned is therefore math.fsum of all the terms ever carried.
+    """
+    terms += parts
+    out = []
+    while r := math.fsum(terms):
+        out.append(r)
+        terms.append(-r)
+    return out
 
 
 def l_truncated(disc: Discriminant, s: float, B: int) -> SeriesEval:

@@ -3,8 +3,10 @@
 A sum over lambda in ideal/(b*ideal) of e(a*N(lambda)/(b*N(ideal))) is stored
 as the integer vector counting how often each exponent t/b occurs; floating
 point only enters when a vector or closed form is evaluated to a complex
-number for comparison.  Closed forms at prime powers split into a rational
-value and a "ramified" value coeff * eps(p) * sqrt(p); the sign of the
+number for comparison.  Closed forms at prime powers are plain ints: a
+"rational" value coeff, or a "ramified" value coeff * eps(p) * sqrt(p)
+with coeff an int too (Berndt, Evans and Williams, Gauss and Jacobi Sums,
+ch. 1), so no rational type is needed anywhere on this path; the sign of the
 latter is `ideals.ramified_sign` of a with the genus fingerprint's sign at
 p, times one more (-(D/p) | p) when beta is even, so they hold for every
 ideal.  The direct enumeration never calls it.
@@ -13,7 +15,6 @@ ideal.  The direct enumeration never calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import fsum, gcd, sqrt
 
 import numpy as np
@@ -51,13 +52,17 @@ class ExactGaussValue:
 
     kind "rational" means the value is coeff; kind "ramified" means
     coeff * eps(p) * sqrt(p) with p the odd modulus carried alongside.
+    Every closed value has an integer coeff, so coeff must be exactly an
+    int, not a bool or a rational type: the Gauss-DFT sum stays in ints.
     """
 
     kind: str
-    coeff: Fraction
+    coeff: int
     p: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.coeff) is not int:
+            raise ValueError(f"coeff must be an int, got {type(self.coeff).__name__}")
         if self.kind not in ("rational", "ramified"):
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.kind == "ramified" and (self.p is None or self.p <= 0 or self.p % 2 == 0):
@@ -113,14 +118,14 @@ def gauss_closed(ideal: FracIdeal, a: int, p: int, beta: int) -> ExactGaussValue
     disc = ideal.disc
     alpha = beta if a == 0 else min(valuation(a, p), beta)
     if alpha == beta:
-        return ExactGaussValue("rational", Fraction(p ** (2 * beta)))
+        return ExactGaussValue("rational", p ** (2 * beta))
     chi = kronecker(disc.D, p)
     if chi != 0:
-        return ExactGaussValue("rational", Fraction((chi * p) ** (alpha + beta)))
+        return ExactGaussValue("rational", (chi * p) ** (alpha + beta))
     # here alpha = val_p(a) < beta, so ramified_sign carries the power alpha
     sign = ramified_sign(disc, p, a, genus_fingerprint(ideal).sign(p))
     sign *= kronecker(-(disc.D // p), p) ** ((beta + 1) % 2)
-    return ExactGaussValue("ramified", Fraction(sign * p ** (alpha + beta)), p)
+    return ExactGaussValue("ramified", sign * p ** (alpha + beta), p)
 
 
 def classical_gauss(
@@ -137,7 +142,7 @@ def classical_gauss(
     if gcd(a, c) != 1:
         raise ValueError(f"a = {a} must be coprime to c = {c}")
     check_enum_bound(c, limit)
-    closed = ExactGaussValue("ramified", Fraction(kronecker(a, c)), c)
+    closed = ExactGaussValue("ramified", kronecker(a, c), c)
     xs = np.arange(c, dtype=np.int64)
     counts = np.bincount(xs * xs % c * (a % c) % c, minlength=c)
     return closed, ExponentVector(c, tuple(counts.tolist()))

@@ -113,8 +113,8 @@ def rep_from_gauss_dft(ideal: FracIdeal, m: int, p: int, beta: int) -> int:
     eps(p) sqrt(p) when p^(j-1) || m and 0 otherwise, so that the product
     holds eps(p)^2 p = (-1 | p) p.  Both sums vanish for j > nu + 1,
     nu = min(val_p(m), beta), which leaves at most nu + 2 exact integer
-    terms with alpha = beta (a = 0) among them.  The total must be
-    divisible by b.
+    terms with alpha = beta (a = 0) among them.  Every coeff is an int, so
+    the sum and its division by b, which must be exact, stay in ints.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")

@@ -96,18 +96,25 @@ def test_divisors():
 
 
 def test_valuation():
+    # an int and a Fraction are read alike through numerator and denominator
     assert valuation(Fraction(9, 2), 3) == 2
+    assert valuation(Fraction(9, 2), 2) == -1
     assert valuation(1, 7) == 0
     assert valuation(Fraction(5, 49), 7) == -2
+    assert valuation(Fraction(-5, 49), 5) == 1
     assert valuation(48, 2) == 4
     assert valuation(-48, 2) == 4
-    with pytest.raises(ValueError):
-        valuation(0, 3)
+    assert valuation(10**30 * 3**7, 3) == 7
+    assert valuation(-(10**30) * 3**7, 5) == 30
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="valuation of 0"):
+            valuation(zero, 3)
     # factors of p are counted whether p is prime or not; p < 2 never ends
     assert valuation(48, 4) == 2
     for p in (1, 0, -2):
-        with pytest.raises(ValueError):
-            valuation(48, p)
+        for x in (48, Fraction(9, 2)):
+            with pytest.raises(ValueError, match="p >= 2"):
+                valuation(x, p)
 
 
 def test_sqrt_mod_roundtrip():

@@ -317,6 +317,53 @@ def test_l_value_truncation_bound(monkeypatch):
         assert abs(far2 - l2) <= bound2, D
 
 
+# L(1) and L(2) as one math.fsum over every term made, pinned to the last
+# bit; from D = 1.3 * 10^6 on the terms are made in several blocks
+L_VALUE_BITS = {
+    5: ("0x1.b8bd1f1562b4bp-2", "0x1.69948a82202eap-1"),
+    1365: ("0x1.903e190d7987bp-1", "0x1.9da0e30ee2ba2p-1"),
+    20001: ("0x1.705529295b8b5p+1", "0x1.6b85af46f47b7p+0"),
+    199997: ("0x1.cdaa9136a5e64p-2", "0x1.6018497e2fa82p-1"),
+    30000001: ("0x1.c0073753c2b24p+1", "0x1.888926113dbcep+0"),
+    1000000009: ("0x1.1e784be5bc474p+2", "0x1.9456fef2e648bp+0"),
+}
+
+
+def test_l_values_in_blocks_bit_identical_and_flat():
+    for D, (want1, want2) in L_VALUE_BITS.items():
+        disc = Discriminant(D)
+        l1, l2 = dirichlet._l_values(disc, 0)
+        assert (l1.hex(), l2.hex()) == (want1, want2), D
+        assert dirichlet._l_values(disc, 1) == (None, l2), D
+    # 112,837 terms in 28 blocks: 0.75 MiB, where one list of every term
+    # held about 82 bytes per term, 8.8 MiB
+    fp = fp_unit(Discriminant(1000000009))
+    tracemalloc.start()
+    try:
+        residue_at_2(fp, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=40), max_size=8
+    )
+)
+def test_carry_keeps_the_exact_sum(blocks):
+    # folding block after block, the catastrophic cancellations included,
+    # gives one math.fsum over every float to the last bit
+    parts = []
+    for block in blocks:
+        parts = dirichlet._carry(parts, list(block))
+        assert len(parts) <= 40
+    flat = [x for block in blocks for x in block]
+    assert math.fsum(parts) == math.fsum(flat)
+
+
 def test_vanishing_residue_builds_no_table(monkeypatch):
     monkeypatch.setattr(dirichlet, "chi_table", None)
     monkeypatch.setattr(dirichlet, "_l_values", None)
@@ -733,3 +780,30 @@ def test_non_finite_s_rejected():
         l_truncated(d5, nan, 10)
     with pytest.raises(ValueError):
         euler_factor(fp_unit(d5), 1, 2, nan)
+
+
+def _admissible(D):
+    try:
+        return Discriminant(D)
+    except ValueError:
+        return None
+
+
+# every admissible D < 2,000, the range the CI step sweeps in full
+SWEEP_DISCS = tuple(d for d in map(_admissible, range(5, 2000, 4)) if d is not None)
+
+
+@st.composite
+def theorem_cases(draw):
+    disc = draw(st.sampled_from(SWEEP_DISCS))
+    ideal = draw(st.sampled_from(genus_representatives(disc)))
+    m = draw(st.sampled_from((0, 1, -1, 2, 3, max(disc.primes), 30030, -7 * disc.D)))
+    return ideal, m, draw(st.sampled_from((2.5, 4.0)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=theorem_cases())
+def test_verify_theorem_property_over_d(case):
+    ideal, m, s = case
+    rep = verify_theorem(ideal, m, s, 2000)
+    assert rep.passed and rep.mismatch is None, (ideal.disc.D, m, s, rep)

@@ -56,12 +56,16 @@ def test_exponent_vector_validation():
 
 def test_exact_value_validation():
     with pytest.raises(ValueError):
-        ExactGaussValue("weird", Fraction(1))
+        ExactGaussValue("weird", 1)
     with pytest.raises(ValueError):
-        ExactGaussValue("ramified", Fraction(1), 4)
+        ExactGaussValue("ramified", 1, 4)
     with pytest.raises(ValueError):
-        ExactGaussValue("ramified", Fraction(1))
-    assert ExactGaussValue("rational", Fraction(-2)).as_complex() == -2
+        ExactGaussValue("ramified", 1)
+    assert ExactGaussValue("rational", -2).as_complex() == -2
+    # closed values are integers: no rational, float or bool coefficient
+    for coeff in (Fraction(1), Fraction(1, 2), 1.0, True):
+        with pytest.raises(ValueError, match="coeff must be an int"):
+            ExactGaussValue("rational", coeff)
 
 
 def test_direct_pinned():
@@ -123,6 +127,23 @@ def test_closed_edge_cases():
         gauss_closed(unit_ideal(d5), 1, 4, 1)
     with pytest.raises(ValueError):
         gauss_closed(unit_ideal(d5), 1, 3, -1)
+
+
+def test_closed_coefficients_are_ints():
+    # every kind gauss_closed returns, at a = 0, at multiples of p and at
+    # units, and the classical closed value, carries a plain int
+    kinds = set()
+    for disc in (d5, d21):
+        for ideal in fixture_ideals(disc):
+            for p, beta in PRIME_POWERS:
+                for a in (0, 1, -2, 3, p, -p, p * p, 7 * p**beta):
+                    v = gauss_closed(ideal, a, p, beta)
+                    assert type(v.coeff) is int, (ideal, a, p, beta, v)
+                    kinds.add(v.kind)
+    assert kinds == {"rational", "ramified"}
+    for a, c in ((1, 5), (2, 5), (-3, 7), (4, 15)):
+        closed, _ = classical_gauss(a, c)
+        assert type(closed.coeff) is int, (a, c)
 
 
 def test_direct_matches_closed():
